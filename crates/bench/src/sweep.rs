@@ -58,10 +58,9 @@ pub struct SweepConfig {
     /// elapsed) in the JSON. Off by default: timing is host noise and
     /// breaks the bit-identical-output guarantee.
     pub measure_time: bool,
-    /// Extra attempts for a cell whose run panics. Each retry runs one rung
-    /// down the backend demotion ladder after a deterministic backoff; a
-    /// cell that exhausts the budget is reported crashed, and the pool
-    /// survives either way.
+    /// Extra attempts for a cell whose run panics. Each retry runs at once,
+    /// one rung down the backend demotion ladder; a cell that exhausts the
+    /// budget is reported crashed, and the pool survives either way.
     pub retries: u32,
     /// Test hook: an `isa/buildset/kernel/backend` label whose first attempt
     /// deliberately panics, proving the isolation path end to end (the CI
@@ -180,15 +179,6 @@ pub struct SweepReport {
     pub measure_time: bool,
 }
 
-/// Resolves a requested job count against the cell count: 0 means one per
-/// available core, and the result is always within `[1, cells]`. The policy
-/// lives in [`lis_harness::resolve_jobs`] so the sweep pool and the service
-/// scheduler share one derivation; this thin alias keeps the historical
-/// bench-crate entry point.
-pub fn resolve_jobs(requested: usize, cells: usize) -> usize {
-    lis_harness::resolve_jobs(requested, cells)
-}
-
 /// Validates a kernel subset against the suite (which is identical across
 /// ISAs by construction). Empty means the full suite.
 ///
@@ -262,17 +252,6 @@ pub fn sweep_cells(
 /// Canonical `isa/buildset/kernel/backend` label of a cell.
 fn cell_label(cell: &SweepCell) -> String {
     format!("{}/{}/{}/{}", cell.isa, cell.buildset.name, cell.kernel, backend_name(cell.backend))
-}
-
-/// FNV-1a over the cell label: a stable backoff seed that depends only on
-/// the cell's identity, never on scheduling (std's `DefaultHasher` is not
-/// guaranteed stable across releases).
-fn cell_seed(label: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in label.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Runs one isolated cell: fresh simulator, run to halt under the budget and
@@ -392,16 +371,13 @@ fn run_cell(cell: &SweepCell, cfg: &SweepConfig, attempt: u32) -> CellResult {
     }
 }
 
-/// [`run_cell`] under panic isolation: up to `1 + retries` attempts with
-/// deterministic backoff, each retry one backend rung lower. A cell that
-/// exhausts the budget becomes a structured crashed result — the pool and
-/// the rest of the matrix are never at risk.
+/// [`run_cell`] under panic isolation: up to `1 + retries` attempts, each
+/// retry one backend rung lower. A cell that exhausts the budget becomes a
+/// structured crashed result — the pool and the rest of the matrix are
+/// never at risk.
 fn run_cell_isolated(cell: &SweepCell, cfg: &SweepConfig) -> CellResult {
-    let label = cell_label(cell);
     let (result, attempts) =
-        lis_harness::run_with_retry(cfg.retries, cell_seed(&label), |attempt| {
-            run_cell(cell, cfg, attempt)
-        });
+        lis_harness::run_with_retry(cfg.retries, |attempt| run_cell(cell, cfg, attempt));
     let crashes = attempts.len() as u32;
     let crash = if attempts.is_empty() { None } else { Some(attempts.join("; ")) };
     match result {
@@ -455,7 +431,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, String> {
     }
     let kernels = resolve_kernels(&cfg.kernels)?;
     let cells = sweep_cells(&kernels, &cfg.backends, &cfg.timings);
-    let jobs = resolve_jobs(cfg.jobs, cells.len());
+    let jobs = lis_harness::resolve_jobs(cfg.jobs, cells.len());
     let t0 = Instant::now();
 
     // Work sharing: workers pull the next cell index from a shared counter,
@@ -960,15 +936,6 @@ mod tests {
 
     fn tiny(jobs: usize) -> SweepConfig {
         SweepConfig { jobs, kernels: vec!["gcd".into()], ..Default::default() }
-    }
-
-    #[test]
-    fn job_resolution_clamps() {
-        assert_eq!(resolve_jobs(3, 100), 3);
-        assert_eq!(resolve_jobs(64, 4), 4, "jobs beyond the cell count clamp down");
-        assert_eq!(resolve_jobs(7, 0), 1, "an empty matrix still gets one worker");
-        let auto = resolve_jobs(0, 1000);
-        assert!((1..=1000).contains(&auto), "auto is within [1, cells]");
     }
 
     #[test]

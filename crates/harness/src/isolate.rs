@@ -4,13 +4,12 @@
 //! independent cells; a bug that panics inside one cell must not take down
 //! the worker pool or poison the other cells' results. [`catch_cell`] turns
 //! a panic into a structured error string, and [`run_with_retry`] wraps that
-//! in a bounded retry loop with deterministic, seed-derived exponential
-//! backoff — deterministic so that a retried run produces byte-identical
-//! reports regardless of worker count or timing.
+//! in a bounded retry loop. A retry never waits: the cells are
+//! deterministic, so only a change of attempt (the caller degrades per
+//! attempt) can make a crash go away, and a retried run produces
+//! byte-identical reports regardless of worker count or timing.
 
-use lis_runtime::ChaosRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 /// Runs `f`, converting a panic into `Err(message)`. The closure is wrapped
 /// in [`AssertUnwindSafe`] because every caller hands in freshly constructed
@@ -32,17 +31,6 @@ pub fn catch_cell<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     }
 }
 
-/// Deterministic exponential backoff with seed-derived jitter: attempt 1
-/// waits ~5 ms, doubling per attempt, capped at 200 ms, plus up to 50% jitter
-/// drawn from a [`ChaosRng`] keyed on `(seed, attempt)`. Same inputs, same
-/// delay — timing never leaks into report bytes.
-pub fn backoff_delay(seed: u64, attempt: u32) -> Duration {
-    let base_ms = 5u64.saturating_mul(1 << attempt.min(8)).min(200);
-    let mut rng = ChaosRng::new(seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let jitter = rng.below(base_ms / 2 + 1);
-    Duration::from_millis(base_ms + jitter)
-}
-
 /// Resolves a requested worker count against the amount of work available:
 /// `0` means one worker per available core
 /// ([`std::thread::available_parallelism`], falling back to a single worker
@@ -56,21 +44,14 @@ pub fn resolve_jobs(requested: usize, cells: usize) -> usize {
     j.clamp(1, cells.max(1))
 }
 
-/// Runs `f(attempt)` under [`catch_cell`] up to `1 + retries` times, sleeping
-/// [`backoff_delay`] between attempts. The attempt index is passed to the
-/// closure so the caller can degrade per attempt (e.g. retry a crashed sweep
-/// cell one backend rung lower). Returns the first success plus the crash
-/// message from every failed attempt; `None` if all attempts panicked.
-pub fn run_with_retry<T>(
-    retries: u32,
-    seed: u64,
-    mut f: impl FnMut(u32) -> T,
-) -> (Option<T>, Vec<String>) {
+/// Runs `f(attempt)` under [`catch_cell`] up to `1 + retries` times, back
+/// to back. The attempt index is passed to the closure so the caller can
+/// degrade per attempt (e.g. retry a crashed sweep cell one backend rung
+/// lower). Returns the first success plus the crash message from every
+/// failed attempt; `None` if all attempts panicked.
+pub fn run_with_retry<T>(retries: u32, mut f: impl FnMut(u32) -> T) -> (Option<T>, Vec<String>) {
     let mut crashes = Vec::new();
     for attempt in 0..=retries {
-        if attempt > 0 {
-            std::thread::sleep(backoff_delay(seed, attempt));
-        }
         match catch_cell(|| f(attempt)) {
             Ok(v) => return (Some(v), crashes),
             Err(msg) => crashes.push(format!("attempt {attempt}: {msg}")),
@@ -93,18 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_bounded_and_grows() {
-        let a = backoff_delay(0xFEED, 1);
-        assert_eq!(a, backoff_delay(0xFEED, 1), "same (seed, attempt), same delay");
-        assert_ne!(a, backoff_delay(0xBEEF, 1), "seed reaches the jitter");
-        for attempt in 1..20 {
-            let d = backoff_delay(1, attempt).as_millis();
-            assert!((5..=300).contains(&d), "attempt {attempt}: {d} ms out of bounds");
-        }
-        assert!(backoff_delay(1, 6).as_millis() >= backoff_delay(1, 1).as_millis());
-    }
-
-    #[test]
     fn job_resolution_clamps() {
         assert_eq!(resolve_jobs(3, 100), 3);
         assert_eq!(resolve_jobs(64, 4), 4, "jobs beyond the work count clamp down");
@@ -117,7 +86,7 @@ mod tests {
 
     #[test]
     fn retry_succeeds_after_transient_panics_and_reports_each_crash() {
-        let (v, crashes) = run_with_retry(3, 7, |attempt| {
+        let (v, crashes) = run_with_retry(3, |attempt| {
             if attempt < 2 {
                 panic!("transient");
             }
@@ -131,7 +100,7 @@ mod tests {
     #[test]
     fn retry_budget_is_bounded_even_when_every_attempt_panics() {
         let mut calls = 0u32;
-        let (v, crashes) = run_with_retry(2, 9, |_| {
+        let (v, crashes) = run_with_retry(2, |_| {
             calls += 1;
             panic!("always");
         });

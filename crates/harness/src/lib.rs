@@ -51,7 +51,7 @@ mod watchdog;
 pub use campaign::{chaos_run, ChaosConfig, ChaosOutcome, ChaosRunReport};
 pub use chaosplan::{ChaosPlanFile, PlanExpect, PlanReplay, CHAOSPLAN_MAGIC};
 pub use compare::{check_trace_against_reference, compare_retired, RetiredCmp};
-pub use isolate::{backoff_delay, catch_cell, resolve_jobs, run_with_retry};
+pub use isolate::{catch_cell, resolve_jobs, run_with_retry};
 pub use lockstep::{
     job_label, lockstep, lockstep_with, HarnessError, LockstepConfig, LockstepOutcome, PerturbHook,
 };

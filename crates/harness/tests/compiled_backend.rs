@@ -9,12 +9,16 @@
 //!   `BENCH_sweep.json` is built from — is identical between the cached and
 //!   compiled backends, so adding the backend cannot perturb the sweep's
 //!   bit-identical output.
+//! * **Driver parity**: every stats counter is the same whichever driver
+//!   loop ran the program — recorded or unobserved, chained superblocks or
+//!   the block executor — and fast-forward stops at the same place on every
+//!   backend.
 //! * **Chaos**: fault-injection campaigns (including page unmaps, which
 //!   must drop superblock chains) produce the same event log and outcome as
 //!   the cached backend, and corrupted (poisoned) builds never enter the
 //!   superblock cache.
 
-use lis_core::{DynInst, STANDARD_BUILDSETS};
+use lis_core::{DynInst, Semantic, STANDARD_BUILDSETS};
 use lis_harness::{chaos_run, lockstep, ChaosConfig, LockstepOutcome};
 use lis_mem::Image;
 use lis_runtime::{Backend, ChaosPlan, Simulator};
@@ -89,6 +93,88 @@ fn detail_units_match_cached_backend_exactly() {
             );
         }
     }
+}
+
+/// Every `SimStats` counter is a function of (program, buildset, backend)
+/// alone, never of the driver loop that ran it: `run_to_halt` equals
+/// `run_with_sink` with an idle sink on every backend; on the compiled
+/// backend the chained fast path equals the block executor (forced by
+/// arming a chaos plan that injects nothing); and cached equals compiled.
+#[test]
+fn drivers_agree_on_every_counter() {
+    for isa in ISAS {
+        for kernel in ["gcd", "strrev"] {
+            let image = kernel_image(isa, kernel);
+            for bs in STANDARD_BUILDSETS {
+                let cell = format!("{isa}/{}/{kernel}", bs.name);
+                let run = |backend: Backend, observed: bool, quiet_chaos: bool| {
+                    let mut sim = Simulator::new(spec_of(isa), bs).expect("build");
+                    sim.set_backend(backend);
+                    if quiet_chaos {
+                        sim.set_chaos(ChaosPlan::quiet(1));
+                    }
+                    sim.load_program(&image).expect("load");
+                    let summary = if observed {
+                        sim.run_with_sink(10_000_000, |_| {})
+                    } else {
+                        sim.run_to_halt(10_000_000)
+                    };
+                    assert_eq!(summary.expect("halts").exit_code, 0, "{cell}: bad exit");
+                    sim.stats
+                };
+                for backend in [Backend::Cached, Backend::Interpreted, Backend::Compiled] {
+                    assert_eq!(
+                        run(backend, false, false),
+                        run(backend, true, false),
+                        "{cell} {backend:?}: run_to_halt vs run_with_sink"
+                    );
+                }
+                let compiled = run(Backend::Compiled, false, false);
+                assert_eq!(
+                    compiled,
+                    run(Backend::Compiled, false, true),
+                    "{cell}: superchain vs block executor"
+                );
+                assert_eq!(
+                    run(Backend::Cached, false, false),
+                    compiled,
+                    "{cell}: cached vs compiled"
+                );
+            }
+        }
+    }
+}
+
+/// `fast_forward` leaves the same PC and the same `insts`, `calls` and
+/// `blocks` on all three backends, including when `n` ends mid-block.
+#[test]
+fn fast_forward_agrees_across_backends() {
+    let mut mid_block = 0;
+    for isa in ISAS {
+        let image = kernel_image(isa, "gcd");
+        for bs in STANDARD_BUILDSETS.iter().filter(|b| b.semantic == Semantic::Block) {
+            let ff = |backend: Backend, n: u64| {
+                let mut sim = Simulator::new(spec_of(isa), *bs).expect("build");
+                sim.set_backend(backend);
+                sim.load_program(&image).expect("load");
+                let done = sim.fast_forward(n).expect("fast-forwards");
+                (done, sim.state.pc, sim.stats.insts, sim.stats.calls, sim.stats.blocks)
+            };
+            for n in 1..=40 {
+                let cached = ff(Backend::Cached, n);
+                for backend in [Backend::Interpreted, Backend::Compiled] {
+                    assert_eq!(ff(backend, n), cached, "{isa}/{} n={n}: {backend:?}", bs.name);
+                }
+                // `n` ends mid-block when one more instruction enters no new
+                // block.
+                let next = ff(Backend::Cached, n + 1);
+                if cached.0 == n && next.0 == n + 1 && next.4 == cached.4 {
+                    mid_block += 1;
+                }
+            }
+        }
+    }
+    assert!(mid_block > 0, "no budget ended mid-block");
 }
 
 /// Chaos campaigns — bit flips, data faults, and page unmaps — observe the

@@ -17,9 +17,12 @@
 //!   undo record.
 //!
 //! The [`Backend`] choice is the analog of the paper's binary translation:
-//! the cached backend predecodes basic blocks once and reuses them, while
-//! the interpreted backend re-fetches and re-decodes every time (the paper's
-//! footnote 5 comparison).
+//! the cached backend predecodes basic blocks once and reuses them, the
+//! interpreted backend re-fetches and re-decodes every time (the paper's
+//! footnote 5 comparison), and the compiled backend translates superblocks.
+//! Whatever the backend, a block runs through one executor
+//! (`Simulator::exec_block`) and a run through one driving loop
+//! (`Simulator::drive`).
 
 use crate::compile::{CompiledCache, CompiledInst, DestOp, SrcOp, Superblock, NO_LINK};
 use crate::decode::{DecodeTable, PcMap};
@@ -52,9 +55,11 @@ pub enum Backend {
     /// Re-fetch and re-decode every instruction on every execution.
     Interpreted,
     /// Translate superblocks: flattened direct-threaded action chains,
-    /// chained block successors, and buildset-specialized elision of
-    /// publish/undo work (the aggressive binary-translation analog; see
-    /// [`crate::compile`](self)).
+    /// chained block successors, and buildset-specialized elision of undo
+    /// work (the aggressive binary-translation analog; see
+    /// [`crate::compile`](self)). Observed runs publish exactly what the
+    /// other backends publish; only [`Simulator::run_to_halt`], where
+    /// nobody sees the records, skips building them.
     Compiled,
 }
 
@@ -168,6 +173,80 @@ pub(crate) struct Block {
     pub(crate) insts: Vec<PredecInst>,
 }
 
+/// What the block executor ([`Simulator::exec_block`]) runs: predecoded
+/// instructions (cached and interpreted backends) or translated ones
+/// (compiled backend).
+trait BlockInst {
+    /// The instruction word.
+    fn bits(&self) -> u32;
+    /// Executes the instruction at `ipc` on `sim`.
+    fn exec(&self, sim: &mut Simulator, ipc: u64) -> Result<(), Fault>;
+}
+
+impl BlockInst for PredecInst {
+    #[inline]
+    fn bits(&self) -> u32 {
+        self.bits
+    }
+
+    /// Replays the captured decode results into the working frame, then
+    /// runs the shared execution chain. Falls back to the full
+    /// decode-inclusive path when the capture overflowed or the decode
+    /// action faulted at build time.
+    #[inline]
+    fn exec(&self, sim: &mut Simulator, ipc: u64) -> Result<(), Fault> {
+        if self.op == ILLEGAL {
+            return Err(Fault::IllegalInstruction { pc: ipc, bits: self.bits });
+        }
+        if self.fallback {
+            return sim.run_all_actions(self.op);
+        }
+        sim.ops = self.ops;
+        for &(f, v) in &self.fields[..self.nfields as usize] {
+            sim.frame.set(lis_core::FieldId(f), v);
+        }
+        sim.frame.set(F_OPCODE, self.op as u64);
+        sim.run_exec_actions(self.op, &self.actions)
+    }
+}
+
+impl BlockInst for CompiledInst {
+    #[inline]
+    fn bits(&self) -> u32 {
+        self.bits
+    }
+
+    /// The same replay as for [`PredecInst`], but dispatching
+    /// direct-threaded over the flattened chain — no per-step `Option`
+    /// tests at run time.
+    #[inline]
+    fn exec(&self, sim: &mut Simulator, ipc: u64) -> Result<(), Fault> {
+        if self.op == ILLEGAL {
+            return Err(Fault::IllegalInstruction { pc: ipc, bits: self.bits });
+        }
+        if self.fallback {
+            return sim.run_all_actions(self.op);
+        }
+        sim.ops = self.ops;
+        sim.frame.replay(&self.fields[..self.nfields as usize], self.valid);
+        let mut ex = sim.exec(self.op);
+        for a in &self.chain[..self.chain_len as usize] {
+            a(&mut ex)?;
+        }
+        Ok(())
+    }
+}
+
+// Publication modes of the block executor, a const generic so each mode
+// compiles to its own loop with the other modes' work folded away.
+
+/// One [`DynInst`] record per instruction into the caller's buffer.
+const RECORD: u8 = 0;
+/// No records; only the detail counters a record would have charged.
+const CHARGE: u8 = 1;
+/// Nothing published or charged; faults go unreported (fast-forward).
+const SILENT: u8 = 2;
+
 /// A speculation checkpoint.
 #[derive(Debug, Clone, Copy)]
 struct Checkpoint {
@@ -262,9 +341,9 @@ pub struct Simulator {
     /// entirely (the mask-driven elision the compiled backend leans on,
     /// shared by every backend since the publish path is common).
     hdr_only: bool,
-    /// Reusable block-publication buffer for the driver loop; taken and
-    /// restored by [`Simulator::run_with_sink`] so repeated drive calls
-    /// never re-grow a fresh `Vec`.
+    /// Reusable block-publication buffer for the driving loop, taken and
+    /// restored around each block call so repeated runs never re-grow a
+    /// fresh `Vec`.
     scratch: Vec<DynInst>,
 }
 
@@ -828,46 +907,6 @@ impl Simulator {
         self.run_exec_actions(opcode, &actions)
     }
 
-    /// Replays a predecoded instruction: captured decode results back into
-    /// the working frame, then the shared execution chain. Falls back to
-    /// the full decode-inclusive path when the capture overflowed or the
-    /// decode action faulted at build time.
-    #[inline]
-    fn exec_predec(&mut self, e: &PredecInst, ipc: u64) -> Result<(), Fault> {
-        if e.op == ILLEGAL {
-            return Err(Fault::IllegalInstruction { pc: ipc, bits: e.bits });
-        }
-        if e.fallback {
-            return self.run_all_actions(e.op);
-        }
-        self.ops = e.ops;
-        for &(f, v) in &e.fields[..e.nfields as usize] {
-            self.frame.set(lis_core::FieldId(f), v);
-        }
-        self.frame.set(F_OPCODE, e.op as u64);
-        self.run_exec_actions(e.op, &e.actions)
-    }
-
-    /// Executes one compiled instruction: the same replay as
-    /// [`Simulator::exec_predec`], but dispatching direct-threaded over the
-    /// flattened chain — no per-step `Option` tests at run time.
-    #[inline]
-    fn exec_compiled(&mut self, e: &CompiledInst, ipc: u64) -> Result<(), Fault> {
-        if e.op == ILLEGAL {
-            return Err(Fault::IllegalInstruction { pc: ipc, bits: e.bits });
-        }
-        if e.fallback {
-            return self.run_all_actions(e.op);
-        }
-        self.ops = e.ops;
-        self.frame.replay(&e.fields[..e.nfields as usize], e.valid);
-        let mut ex = self.exec(e.op);
-        for a in &e.chain[..e.chain_len as usize] {
-            a(&mut ex)?;
-        }
-        Ok(())
-    }
-
     /// The single publication path for every entry point. Uses the
     /// synthesis-time `vis_fields`/`vis_ops` copies and charges the
     /// deterministic detail counters: one `published_values` unit per field
@@ -1024,50 +1063,15 @@ impl Simulator {
         self.check_semantic(Semantic::Block)?;
         self.stats.calls += 1;
         let mut done = 0u64;
-        'outer: while done < n && !self.state.halted {
-            let pc = self.state.pc & self.isa.pc_mask;
-            if self.backend == Backend::Compiled {
-                let Ok((sb, _)) = self.lookup_compiled(pc) else { break };
-                self.stats.blocks += 1;
-                for (i, e) in sb.insts.iter().enumerate() {
-                    let ipc = (pc.wrapping_add(4 * i as u64)) & self.isa.pc_mask;
-                    self.begin_inst(ipc);
-                    self.header.instr_bits = e.bits;
-                    if self.exec_compiled(e, ipc).is_err() {
-                        // Leave the PC at the faulting instruction; a
-                        // regular interface call will reproduce it.
-                        break 'outer;
-                    }
-                    self.retire();
-                    done += 1;
-                    if self.state.halted
-                        || done == n
-                        || self.header.next_pc != ipc.wrapping_add(4) & self.isa.pc_mask
-                    {
-                        continue 'outer;
-                    }
-                }
-                continue 'outer;
-            }
-            let Ok(block) = self.lookup_block(pc) else { break };
-            self.stats.blocks += 1;
-            for (i, e) in block.insts.iter().enumerate() {
-                let ipc = (pc.wrapping_add(4 * i as u64)) & self.isa.pc_mask;
-                self.begin_inst(ipc);
-                self.header.instr_bits = e.bits;
-                if self.exec_predec(e, ipc).is_err() {
-                    // Leave the PC at the faulting instruction; a regular
-                    // interface call will reproduce and report the fault.
-                    break 'outer;
-                }
-                self.retire();
-                done += 1;
-                if self.state.halted
-                    || done == n
-                    || self.header.next_pc != ipc.wrapping_add(4) & self.isa.pc_mask
-                {
-                    continue 'outer;
-                }
+        while done < n && !self.state.halted {
+            // A fault leaves the PC at the faulting instruction; a regular
+            // interface call will reproduce and report it.
+            let Ok((retired, fault)) = self.run_block::<SILENT>(&mut Vec::new(), n - done) else {
+                break;
+            };
+            done += retired;
+            if fault.is_some() {
+                break;
             }
         }
         Ok(done)
@@ -1086,118 +1090,117 @@ impl Simulator {
     pub fn next_block(&mut self, out: &mut Vec<DynInst>) -> Result<usize, IfaceError> {
         self.check_semantic(Semantic::Block)?;
         self.stats.calls += 1;
-        self.stats.blocks += 1;
-        if self.backend == Backend::Compiled {
-            return self.next_block_compiled(out);
-        }
-        let pc = self.state.pc & self.isa.pc_mask;
         // `out` slots are reused across calls: existing records are
         // overwritten in place, so the per-instruction cost is the
         // publication itself, not buffer construction.
-        let mut count = 0usize;
-
-        let block = match self.lookup_block(pc) {
-            Ok(b) => b,
-            Err(fault) => {
-                self.publish_head_fault(out, pc, fault);
-                return Ok(0);
-            }
-        };
-
-        for (i, e) in block.insts.iter().enumerate() {
-            let ipc = (pc.wrapping_add(4 * i as u64)) & self.isa.pc_mask;
-            self.begin_inst(ipc);
-            self.header.instr_bits = e.bits;
-            // Replay the captured decode results and run the remaining
-            // steps through the shared action-chain helper.
-            let result = self.exec_predec(e, ipc);
-            if out.len() == count {
-                out.push(DynInst::new());
-            }
-            let di = &mut out[count];
-            di.clear();
-            count += 1;
-            match result {
-                Ok(()) => {
-                    self.publish(di, None);
-                    self.retire();
-                    if self.state.halted {
-                        break;
-                    }
-                    if self.header.next_pc != ipc.wrapping_add(4) & self.isa.pc_mask {
-                        break; // taken control flow ends the block
-                    }
-                }
-                Err(fault) => {
-                    self.publish(di, Some(fault));
-                    self.stats.faults += 1;
-                    break;
-                }
-            }
-        }
-        out.truncate(count);
-        Ok(count)
+        Ok(match self.run_block::<RECORD>(out, u64::MAX) {
+            Ok(_) => out.len(),
+            Err(_) => 0,
+        })
     }
 
-    /// Publishes the single faulting record a block call produces when the
-    /// very first fetch of the block faults.
-    fn publish_head_fault(&mut self, out: &mut Vec<DynInst>, pc: u64, fault: Fault) {
-        self.begin_inst(pc);
-        if out.is_empty() {
-            out.push(DynInst::new());
-        }
-        out[0].clear();
-        let (head, _) = out.split_at_mut(1);
-        self.publish(&mut head[0], Some(fault));
-        self.stats.faults += 1;
-        out.truncate(1);
-    }
-
-    /// [`Simulator::next_block`] on the compiled backend: same one block
-    /// per call, same publication contract, but execution dispatches over
-    /// flattened chains and block lookup prefers the previous block's
-    /// successor links to the PC index.
-    fn next_block_compiled(&mut self, out: &mut Vec<DynInst>) -> Result<usize, IfaceError> {
+    /// One block call on the active backend: looks the block up (building
+    /// it on a miss) and runs it through [`Simulator::exec_block`]. `Err` is
+    /// a head fault — the block's first fetch faulted — already published
+    /// per `MODE`.
+    fn run_block<const MODE: u8>(
+        &mut self,
+        out: &mut Vec<DynInst>,
+        budget: u64,
+    ) -> Result<(u64, Option<Fault>), Fault> {
         let pc = self.state.pc & self.isa.pc_mask;
-        let mut count = 0usize;
-        let sb = match self.lookup_compiled(pc) {
-            Ok((sb, _)) => sb,
-            Err(fault) => {
-                self.publish_head_fault(out, pc, fault);
-                return Ok(0);
-            }
+        let ran = if self.backend == Backend::Compiled {
+            self.lookup_compiled(pc)
+                .map(|(sb, _)| self.exec_block::<_, MODE>(pc, &sb.insts, out, budget))
+        } else {
+            self.lookup_block(pc).map(|b| self.exec_block::<_, MODE>(pc, &b.insts, out, budget))
         };
-        for (i, e) in sb.insts.iter().enumerate() {
+        // A block call counts even when its head fetch faults; fast-forward
+        // counts only the blocks it entered.
+        if MODE != SILENT || ran.is_ok() {
+            self.stats.blocks += 1;
+        }
+        ran.map_err(|fault| self.head_fault::<MODE>(out, pc, fault))
+    }
+
+    /// The one per-instruction block loop behind every block-granular entry
+    /// point (only the unobserved compiled superchain has its own). Runs
+    /// `insts` from `pc` until taken control flow, exit, a fault, or
+    /// `budget` retired instructions, publishing per `MODE`. Returns the
+    /// retired count and the fault that ended the block, if any; the PC is
+    /// left at a faulting instruction.
+    #[inline]
+    fn exec_block<I: BlockInst, const MODE: u8>(
+        &mut self,
+        pc: u64,
+        insts: &[I],
+        out: &mut Vec<DynInst>,
+        budget: u64,
+    ) -> (u64, Option<Fault>) {
+        let mut done = 0u64;
+        let mut fault = None;
+        for (i, e) in insts.iter().enumerate() {
             let ipc = (pc.wrapping_add(4 * i as u64)) & self.isa.pc_mask;
             self.begin_inst(ipc);
-            self.header.instr_bits = e.bits;
-            let result = self.exec_compiled(e, ipc);
-            if out.len() == count {
-                out.push(DynInst::new());
+            self.header.instr_bits = e.bits();
+            let result = e.exec(self, ipc);
+            self.emit::<MODE>(out, done as usize, result.err());
+            if let Err(f) = result {
+                fault = Some(f);
+                break;
             }
-            let di = &mut out[count];
-            di.clear();
-            count += 1;
-            match result {
-                Ok(()) => {
-                    self.publish(di, None);
-                    self.retire();
-                    if self.state.halted {
-                        break;
-                    }
-                    if self.header.next_pc != ipc.wrapping_add(4) & self.isa.pc_mask {
-                        break; // taken control flow ends the block
-                    }
-                }
-                Err(fault) => {
-                    self.publish(di, Some(fault));
-                    self.stats.faults += 1;
-                    break;
-                }
+            self.retire();
+            done += 1;
+            if self.state.halted
+                || done == budget
+                || self.header.next_pc != ipc.wrapping_add(4) & self.isa.pc_mask
+            {
+                break; // taken control flow ends the block
             }
         }
-        out.truncate(count);
-        Ok(count)
+        if fault.is_some() && MODE != SILENT {
+            self.stats.faults += 1;
+        }
+        if MODE == RECORD {
+            out.truncate(done as usize + usize::from(fault.is_some()));
+        }
+        (done, fault)
+    }
+
+    /// Publishes block record `n` per `MODE`: into `out[n]` (`RECORD`), as
+    /// detail charges only (`CHARGE`), or not at all (`SILENT`).
+    #[inline]
+    fn emit<const MODE: u8>(&mut self, out: &mut Vec<DynInst>, n: usize, fault: Option<Fault>) {
+        if MODE == RECORD {
+            if out.len() == n {
+                out.push(DynInst::new());
+            }
+            let di = &mut out[n];
+            di.clear();
+            self.publish(di, fault);
+        } else if MODE == CHARGE {
+            self.charge_publish();
+        }
+    }
+
+    /// The single faulting record a block call produces when the very first
+    /// fetch of the block faults, published per `MODE` (`SILENT` reports
+    /// nothing). Returns `fault`.
+    fn head_fault<const MODE: u8>(
+        &mut self,
+        out: &mut Vec<DynInst>,
+        pc: u64,
+        fault: Fault,
+    ) -> Fault {
+        if MODE != SILENT {
+            self.begin_inst(pc);
+            self.emit::<MODE>(out, 0, Some(fault));
+            self.stats.faults += 1;
+            if MODE == RECORD {
+                out.truncate(1);
+            }
+        }
+        fault
     }
 
     /// Whether a scripted chaos replay has a fetch-corrupting event due:
@@ -1212,7 +1215,7 @@ impl Simulator {
         if self.backend == Backend::Cached && !self.scripted_bypass() {
             if let Some(b) = self.blocks.get(&pc) {
                 let block = Rc::clone(b);
-                if !self.verify_cache || self.block_is_fresh(pc, &block) {
+                if !self.verify_cache || self.block_is_fresh(pc, &block.insts) {
                     return Ok(block);
                 }
                 // Graceful degradation: the cached block no longer matches
@@ -1245,13 +1248,15 @@ impl Simulator {
         Ok(block)
     }
 
-    /// Whether a cached block's first word still matches memory. The check
-    /// reads memory directly — it is an integrity probe, not an
-    /// architectural fetch, so chaos injection does not apply.
-    fn block_is_fresh(&self, pc: u64, block: &Block) -> bool {
-        let Some(first) = block.insts.first() else { return false };
+    /// Whether a cached block's or superblock's first word still matches
+    /// memory — the cache-verification probe, applied on every block entry
+    /// (linked or indexed). The check reads memory directly — it is an
+    /// integrity probe, not an architectural fetch, so chaos injection does
+    /// not apply.
+    fn block_is_fresh(&self, pc: u64, insts: &[impl BlockInst]) -> bool {
+        let Some(first) = insts.first() else { return false };
         match self.state.mem.fetch_u32(pc & self.isa.pc_mask, self.isa.endian) {
-            Ok(word) => word == first.bits,
+            Ok(word) => word == first.bits(),
             Err(_) => false,
         }
     }
@@ -1269,7 +1274,7 @@ impl Simulator {
             self.compiled.follow(prev, pc, self.isa.pc_mask).or_else(|| self.compiled.lookup(pc))
         };
         if let Some((sb, idx)) = hit {
-            if !self.verify_cache || self.superblock_is_fresh(pc, &sb) {
+            if !self.verify_cache || self.block_is_fresh(pc, &sb.insts) {
                 self.compiled.patch(prev, idx, pc, self.isa.pc_mask);
                 self.compiled.last = idx;
                 return Ok((sb, idx));
@@ -1323,17 +1328,6 @@ impl Simulator {
             }
         }
         sb
-    }
-
-    /// [`Simulator::block_is_fresh`] for superblocks: same first-word
-    /// integrity probe, applied on every block entry (linked or indexed)
-    /// when cache verification is on.
-    fn superblock_is_fresh(&self, pc: u64, sb: &Superblock) -> bool {
-        let Some(first) = sb.insts.first() else { return false };
-        match self.state.mem.fetch_u32(pc & self.isa.pc_mask, self.isa.endian) {
-            Ok(word) => word == first.bits,
-            Err(_) => false,
-        }
     }
 
     /// Captures an instruction's decode results for replay; falls back to
@@ -1597,7 +1591,10 @@ impl Simulator {
 
     /// Drives the simulator until the program exits, a fault occurs, or
     /// `max_insts` instructions have executed. The driving loop uses the
-    /// buildset's own semantic level.
+    /// buildset's own semantic level. Nobody observes the records, so the
+    /// compiled backend builds none (it charges the detail counters a record
+    /// would have); the cached and interpreted backends still publish each
+    /// block into an engine-owned scratch buffer.
     ///
     /// # Errors
     ///
@@ -1606,100 +1603,115 @@ impl Simulator {
     /// [`SimStop::Deadline`] when a wall-clock deadline set with
     /// [`Simulator::set_deadline`] expires.
     pub fn run_to_halt(&mut self, max_insts: u64) -> Result<RunSummary, SimStop> {
-        let start = self.stats.insts;
-        // Dispatch loop, not a single dispatch: a mid-run demotion makes the
-        // compiled driver hand back cleanly (halted = false), and the rest
-        // of the budget continues on whatever backend the ladder left
-        // active. The generic driver re-dispatches per call on its own, so
-        // only the compiled fast driver ever returns here early.
-        loop {
-            let left = max_insts - (self.stats.insts - start);
-            let summary =
-                if self.backend == Backend::Compiled && self.bs.semantic == Semantic::Block {
-                    self.run_compiled(left)?
-                } else {
-                    self.run_with_sink(left, |_| {})?
-                };
-            if summary.halted {
-                return Ok(RunSummary {
-                    insts: self.stats.insts - start,
-                    halted: true,
-                    exit_code: summary.exit_code,
-                });
-            }
-        }
+        self.drive::<false>(max_insts, &mut |_| {})
     }
 
-    /// The compiled backend's unobserved block driver: chains superblocks
-    /// with no record construction at all. With no sink there is nobody to
-    /// observe the publication buffers, so the work the visibility mask
-    /// would govern is statically elided — only the deterministic detail
-    /// charges remain ([`Simulator::charge_publish`]), keeping every
-    /// counter identical to the record-publishing drivers.
-    fn run_compiled(&mut self, max_insts: u64) -> Result<RunSummary, SimStop> {
+    /// Like [`Simulator::run_to_halt`], but calls `sink` with every
+    /// published [`DynInst`] record as it retires — including a final
+    /// faulting record, which the sink sees before the fault is returned.
+    ///
+    /// This is the engine's retirement hook: a trace recorder (or any other
+    /// stream consumer) observes exactly the record stream the buildset's
+    /// interface publishes, with no engine-side knowledge of the consumer.
+    ///
+    /// # Errors
+    ///
+    /// See [`Simulator::run_to_halt`].
+    pub fn run_with_sink(
+        &mut self,
+        max_insts: u64,
+        mut sink: impl FnMut(&DynInst),
+    ) -> Result<RunSummary, SimStop> {
+        self.drive::<true>(max_insts, &mut sink)
+    }
+
+    /// The one driving loop: one budget, deadline and tick-stride check per
+    /// interface call, at the buildset's semantic level. The backend is
+    /// re-read on every call, so after a mid-run demotion the run simply
+    /// continues on the next rung. Unobserved (`OBSERVED` false) compiled
+    /// block calls build no records: they run the block executor in `CHARGE`
+    /// mode or, chaos-free and non-speculative, chain superblocks through
+    /// [`Simulator::run_superchain_fast`].
+    fn drive<const OBSERVED: bool>(
+        &mut self,
+        max_insts: u64,
+        sink: &mut impl FnMut(&DynInst),
+    ) -> Result<RunSummary, SimStop> {
         let start = self.stats.insts;
         let started_at = self.deadline.map(|limit| (Instant::now(), limit));
         let mut ticks = 0u32;
         // The hot configuration: nobody injecting faults, no undo log to
         // drain. Every per-instruction effect then lands in the execution
         // frame, the header, the architectural state, or the stats counters,
-        // so the superblock can run on one Exec context built per *block*
-        // (not per instruction) over split field borrows.
-        let fast = self.chaos.is_none() && !self.bs.speculation;
+        // so a superblock chain can run on one Exec context built per
+        // *chain* (not per instruction) over split field borrows.
+        let chain = self.chaos.is_none() && !self.bs.speculation;
+        let mut di = DynInst::new();
         while !self.state.halted {
-            if self.backend != Backend::Compiled {
-                // The demotion ladder fired inside a lookup: this driver's
-                // translations are no longer trusted, so hand the rest of
-                // the run back to `run_to_halt` for re-dispatch.
-                break;
-            }
             if self.stats.insts - start >= max_insts {
                 return Err(SimStop::MaxInsts);
             }
             if let Some((t0, limit)) = started_at {
+                // Checking the clock every iteration would tax the One and
+                // Step drivers; a 64-iteration stride keeps the watchdog
+                // responsive without measurable overhead.
                 if ticks & 0x3f == 0 && t0.elapsed() >= limit {
                     return Err(SimStop::Deadline);
                 }
                 ticks = ticks.wrapping_add(1);
             }
-            self.stats.calls += 1;
-            self.stats.blocks += 1;
-            let pc = self.state.pc & self.isa.pc_mask;
-            let (sb, idx) = match self.lookup_compiled(pc) {
-                Ok(hit) => hit,
-                Err(fault) => {
-                    // Mirror the block call's head-fault record accounting.
-                    self.begin_inst(pc);
-                    self.charge_publish();
-                    self.stats.faults += 1;
-                    return Err(SimStop::Fault(fault));
+            match self.bs.semantic {
+                Semantic::Block if !OBSERVED && self.backend == Backend::Compiled => {
+                    self.stats.calls += 1;
+                    let ran = if chain {
+                        self.stats.blocks += 1;
+                        let pc = self.state.pc & self.isa.pc_mask;
+                        match self.lookup_compiled(pc) {
+                            Ok((sb, idx)) => {
+                                let left = max_insts - (self.stats.insts - start);
+                                self.run_superchain_fast(sb, idx, pc, left, started_at)
+                            }
+                            Err(fault) => {
+                                Err(self.head_fault::<CHARGE>(&mut Vec::new(), pc, fault))
+                            }
+                        }
+                    } else {
+                        match self.run_block::<CHARGE>(&mut Vec::new(), u64::MAX) {
+                            Ok((_, None)) => Ok(()),
+                            Ok((_, Some(fault))) | Err(fault) => Err(fault),
+                        }
+                    };
+                    ran.map_err(SimStop::Fault)?;
                 }
-            };
-            if fast {
-                let left = max_insts - (self.stats.insts - start);
-                self.run_superchain_fast(sb, idx, pc, left, started_at)?;
-                continue;
-            }
-            for (i, e) in sb.insts.iter().enumerate() {
-                let ipc = (pc.wrapping_add(4 * i as u64)) & self.isa.pc_mask;
-                self.begin_inst(ipc);
-                self.header.instr_bits = e.bits;
-                match self.exec_compiled(e, ipc) {
-                    Ok(()) => {
-                        self.charge_publish();
-                        self.retire();
-                        if self.state.halted {
-                            break;
-                        }
-                        if self.header.next_pc != ipc.wrapping_add(4) & self.isa.pc_mask {
-                            break; // taken control flow ends the block
+                Semantic::Block => {
+                    // The block buffer is engine-owned scratch, so repeated
+                    // drive calls — the sweep runs thousands of them —
+                    // publish into already-grown storage.
+                    let mut buf = std::mem::take(&mut self.scratch);
+                    self.next_block(&mut buf)?;
+                    buf.iter().for_each(&mut *sink);
+                    let fault = buf.last().and_then(|d| d.fault);
+                    self.scratch = buf;
+                    if let Some(f) = fault {
+                        return Err(SimStop::Fault(f));
+                    }
+                }
+                Semantic::One => {
+                    self.next_inst(&mut di)?;
+                    sink(&di);
+                    if let Some(f) = di.fault {
+                        return Err(SimStop::Fault(f));
+                    }
+                }
+                Semantic::Step => {
+                    for step in Step::ALL {
+                        self.step_inst(step, &mut di)?;
+                        if let Some(f) = di.fault {
+                            sink(&di);
+                            return Err(SimStop::Fault(f));
                         }
                     }
-                    Err(fault) => {
-                        self.charge_publish();
-                        self.stats.faults += 1;
-                        return Err(SimStop::Fault(fault));
-                    }
+                    sink(&di);
                 }
             }
         }
@@ -1718,8 +1730,8 @@ impl Simulator {
     /// every exit). When a block ends, execution follows the superblock's
     /// successor links *inline* — steady-state hot loops never leave this
     /// function, paying the driver's lookup/dispatch cost only on a link
-    /// miss. Counter-for-counter identical to the slow loop: each embedded
-    /// block charges one call and one block, exactly like a driver entry.
+    /// miss. Each embedded block charges one call and one block, exactly
+    /// like a driver entry, so every counter equals the block executor's.
     fn run_superchain_fast(
         &mut self,
         sb: Rc<Superblock>,
@@ -1727,7 +1739,7 @@ impl Simulator {
         mut pc: u64,
         insts_left: u64,
         started_at: Option<(Instant, Duration)>,
-    ) -> Result<(), SimStop> {
+    ) -> Result<(), Fault> {
         let isa = self.isa;
         let mask = isa.pc_mask;
         let vis = self.vis_fields.0;
@@ -1862,7 +1874,7 @@ impl Simulator {
                 stats.calls += links;
                 stats.blocks += links;
                 stats.faults += 1;
-                return Err(SimStop::Fault(f));
+                return Err(f);
             }
             if ex.state.halted || !may_chain || insts >= insts_left {
                 break 'chain;
@@ -1894,93 +1906,5 @@ impl Simulator {
         stats.calls += links;
         stats.blocks += links;
         Ok(())
-    }
-
-    /// Like [`Simulator::run_to_halt`], but calls `sink` with every
-    /// published [`DynInst`] record as it retires — including a final
-    /// faulting record, which the sink sees before the fault is returned.
-    ///
-    /// This is the engine's retirement hook: a trace recorder (or any other
-    /// stream consumer) observes exactly the record stream the buildset's
-    /// interface publishes, with no engine-side knowledge of the consumer.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulator::run_to_halt`].
-    pub fn run_with_sink(
-        &mut self,
-        max_insts: u64,
-        mut sink: impl FnMut(&DynInst),
-    ) -> Result<RunSummary, SimStop> {
-        // The block buffer is engine-owned scratch: taking it out (and
-        // putting it back on every exit path) means repeated drive calls —
-        // the sweep runs thousands of them — publish into already-grown
-        // storage instead of reallocating per call.
-        let mut buf = std::mem::take(&mut self.scratch);
-        if buf.capacity() < self.max_block {
-            buf.reserve(self.max_block - buf.len());
-        }
-        let result = self.drive(max_insts, &mut sink, &mut buf);
-        self.scratch = buf;
-        result
-    }
-
-    fn drive(
-        &mut self,
-        max_insts: u64,
-        sink: &mut impl FnMut(&DynInst),
-        buf: &mut Vec<DynInst>,
-    ) -> Result<RunSummary, SimStop> {
-        let start = self.stats.insts;
-        let started_at = self.deadline.map(|limit| (Instant::now(), limit));
-        let mut ticks = 0u32;
-        let mut di = DynInst::new();
-        while !self.state.halted {
-            if self.stats.insts - start >= max_insts {
-                return Err(SimStop::MaxInsts);
-            }
-            if let Some((t0, limit)) = started_at {
-                // Checking the clock every iteration would tax the One and
-                // Step drivers; a 64-iteration stride keeps the watchdog
-                // responsive without measurable overhead.
-                if ticks & 0x3f == 0 && t0.elapsed() >= limit {
-                    return Err(SimStop::Deadline);
-                }
-                ticks = ticks.wrapping_add(1);
-            }
-            match self.bs.semantic {
-                Semantic::One => {
-                    self.next_inst(&mut di)?;
-                    sink(&di);
-                    if let Some(f) = di.fault {
-                        return Err(SimStop::Fault(f));
-                    }
-                }
-                Semantic::Block => {
-                    self.next_block(buf)?;
-                    for d in buf.iter() {
-                        sink(d);
-                    }
-                    if let Some(f) = buf.last().and_then(|d| d.fault) {
-                        return Err(SimStop::Fault(f));
-                    }
-                }
-                Semantic::Step => {
-                    for step in Step::ALL {
-                        self.step_inst(step, &mut di)?;
-                        if let Some(f) = di.fault {
-                            sink(&di);
-                            return Err(SimStop::Fault(f));
-                        }
-                    }
-                    sink(&di);
-                }
-            }
-        }
-        Ok(RunSummary {
-            insts: self.stats.insts - start,
-            halted: self.state.halted,
-            exit_code: self.state.exit_code,
-        })
     }
 }

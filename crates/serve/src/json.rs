@@ -95,7 +95,7 @@ impl std::error::Error for JsonError {}
 ///
 /// A [`JsonError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -106,6 +106,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -210,12 +211,14 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("valid utf8");
-                    let ch = rest.chars().next().expect("peeked a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run of unescaped characters at once.
+                    // Every byte that ends a run (quote, backslash, control)
+                    // is ASCII, so the run ends on a char boundary of `src`.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }

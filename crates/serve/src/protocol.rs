@@ -432,6 +432,22 @@ mod tests {
     }
 
     #[test]
+    fn frame_near_the_size_limit_parses() {
+        // A `run` frame whose inline source nearly fills the frame, mixing
+        // multi-byte characters and escapes. The parser is linear in the
+        // frame, so this takes milliseconds.
+        let escaped = "x\u{e9}\u{1F600}\\n";
+        let head = r#"{"lis":1,"id":1,"cmd":"run","isa":"arm","src":""#;
+        let reps = (MAX_FRAME_LEN - head.len() - 2) / escaped.len();
+        let line = format!("{head}{}\"}}", escaped.repeat(reps));
+        assert!(line.len() > MAX_FRAME_LEN - escaped.len() && line.len() <= MAX_FRAME_LEN);
+        let Request::Run { src, .. } = parse_frame(&line).expect("parses").req else {
+            panic!("wrong request");
+        };
+        assert_eq!(src, Some("x\u{e9}\u{1F600}\n".repeat(reps)));
+    }
+
+    #[test]
     fn response_envelope_shape() {
         let ok = response(9, "status", 0, None, r#"{"x":1}"#);
         assert!(ok.contains(r#""id":9"#) && ok.contains(r#""ok":true"#));
