@@ -165,7 +165,10 @@ fn trace_cmd() {
             t.bytes_per_inst
         );
     }
-    println!("(recording is paid once; every later timing experiment replays at trace speed)");
+    println!(
+        "(recording is paid once; each later replay re-times it without the functional side, \
+         at the `replay x1` speed above)"
+    );
 }
 
 fn ablate_ff_cmd() {

@@ -5,12 +5,64 @@
 //! entirely on the active buildset's visibility: hidden fields are never
 //! copied out of the working frame, so low-informational-detail interfaces
 //! pay for exactly what they expose.
+//!
+//! [`RetiredInst`] is the read-only side of that contract: everything a
+//! consumer may ask of one retired instruction. `DynInst` implements it, and
+//! so can any borrowed view that masks fields at access time instead of
+//! copying them into a fresh `DynInst` (the trace replay path does).
 
 use crate::exec::InstHeader;
 use crate::fault::Fault;
 use crate::field::{FieldId, FieldSet, MAX_FIELDS};
 use crate::frame::Frame;
 use crate::operand::Operands;
+
+/// A read-only view of one retired instruction, as a timing consumer sees
+/// it through a functional-to-timing interface.
+///
+/// The header and fault are always visible (the paper's `Min` level);
+/// fields and operand identifiers answer `None` when the interface hid them.
+/// Consumers written against this trait accept a live [`DynInst`] and a
+/// projected trace record alike, with one body.
+pub trait RetiredInst {
+    /// The always-published header.
+    fn header(&self) -> &InstHeader;
+    /// The fault raised by this instruction, if any.
+    fn fault(&self) -> Option<Fault>;
+    /// The set of published fields.
+    fn fields_valid(&self) -> FieldSet;
+    /// A published field value; `None` when hidden or never computed.
+    fn field(&self, id: FieldId) -> Option<u64>;
+    /// The published operand identifiers, if the interface exposed them.
+    fn operands(&self) -> Option<&Operands>;
+}
+
+impl RetiredInst for DynInst {
+    #[inline]
+    fn header(&self) -> &InstHeader {
+        &self.header
+    }
+
+    #[inline]
+    fn fault(&self) -> Option<Fault> {
+        self.fault
+    }
+
+    #[inline]
+    fn fields_valid(&self) -> FieldSet {
+        self.fields_valid
+    }
+
+    #[inline]
+    fn field(&self, id: FieldId) -> Option<u64> {
+        DynInst::field(self, id)
+    }
+
+    #[inline]
+    fn operands(&self) -> Option<&Operands> {
+        DynInst::operands(self)
+    }
+}
 
 /// Information about one executed dynamic instruction, as exposed through
 /// the functional-to-timing interface.

@@ -20,7 +20,7 @@
 //!   "typical interface specification error" (hiding a value that must cross
 //!   an interface-call boundary) before a single instruction is simulated;
 //! * [`DynInst`] — the published dynamic-instruction record the timing
-//!   simulator consumes;
+//!   simulator consumes, read through the [`RetiredInst`] view;
 //! * [`UndoLog`] — rollback support for speculative interfaces.
 //!
 //! The execution engines that *synthesize* simulators from these
@@ -69,7 +69,7 @@ pub use buildset::{
     BLOCK_DECODE, BLOCK_DECODE_SPEC, BLOCK_MIN, ONE_ALL, ONE_ALL_SPEC, ONE_DECODE, ONE_DECODE_SPEC,
     ONE_MIN, STANDARD_BUILDSETS, STEP_ALL, STEP_ALL_SPEC,
 };
-pub use dyninst::DynInst;
+pub use dyninst::{DynInst, RetiredInst};
 pub use exec::{
     generic_operand_fetch, generic_writeback, Exec, InstHeader, DEST_FIELDS, SRC_FIELDS,
 };

@@ -42,6 +42,7 @@ mod ooo;
 mod orgs;
 mod predict;
 mod report;
+mod scoreboard;
 
 pub use cache::{Cache, CacheConfig};
 pub use components::{

@@ -12,20 +12,26 @@
 //! execution latencies, cache penalties, and mispredict-driven fetch
 //! redirection.
 //!
-//! [`OooCore`] is the consumer itself: it is fed one published [`DynInst`]
-//! at a time and never touches a functional simulator, so the *same* core
-//! can run execute-driven (fed by [`run_functional_first_ooo`]) or
-//! trace-driven (fed by a recorded instruction stream, see `lis-trace`).
-//! Feeding it the same record stream produces the same report, bit for bit
-//! — which is what makes record-once/replay-anywhere verifiable.
+//! [`OooCore`] is the consumer itself: it is fed one retired instruction at
+//! a time — anything implementing [`RetiredInst`], a live [`DynInst`] or a
+//! projected trace record — and never touches a functional simulator, so
+//! the *same* core can run execute-driven (fed by
+//! [`run_functional_first_ooo`]) or trace-driven (fed by a recorded
+//! instruction stream, see `lis-trace`). Feeding it the same record stream
+//! produces the same report, bit for bit — which is what makes
+//! record-once/replay-anywhere verifiable.
 
 use crate::cache::Cache;
 use crate::components::BranchPredictor;
 use crate::report::{CoreConfig, TimingReport};
-use lis_core::{DynInst, InstClass, IsaSpec, F_BR_TAKEN, F_BR_TARGET, F_EFF_ADDR, F_OPCODE};
+use crate::scoreboard::Scoreboard;
+use lis_core::{
+    DynInst, InstClass, InstDef, IsaSpec, RetiredInst, F_BR_TAKEN, F_BR_TARGET, F_EFF_ADDR,
+    F_OPCODE,
+};
 use lis_mem::Image;
 use lis_runtime::{SimStop, Simulator};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Structural parameters of the out-of-order core.
 #[derive(Debug, Clone, Copy)]
@@ -42,14 +48,23 @@ impl Default for OooConfig {
     }
 }
 
-/// Execution latency of one instruction, by class and mnemonic.
-fn latency(isa: &IsaSpec, op: u16) -> u64 {
-    let def = isa.inst(op);
-    match def.class {
-        InstClass::Load | InstClass::Store => 2,
-        InstClass::Alu if def.name.contains("div") => 12,
-        InstClass::Alu if def.name.contains("mul") => 3,
-        _ => 1,
+/// What the core needs of one opcode: its class and execution latency.
+#[derive(Debug, Clone, Copy)]
+struct OpTiming {
+    class: InstClass,
+    latency: u64,
+}
+
+impl OpTiming {
+    /// Latency by class and mnemonic.
+    fn of(def: &InstDef) -> OpTiming {
+        let latency = match def.class {
+            InstClass::Load | InstClass::Store => 2,
+            InstClass::Alu if def.name.contains("div") => 12,
+            InstClass::Alu if def.name.contains("mul") => 3,
+            _ => 1,
+        };
+        OpTiming { class: def.class, latency }
     }
 }
 
@@ -79,14 +94,15 @@ struct Baseline {
 /// identical reports.
 #[derive(Debug)]
 pub struct OooCore {
-    isa: &'static IsaSpec,
+    /// Per-opcode class and latency, indexed by opcode.
+    ops: Box<[OpTiming]>,
     ooo: OooConfig,
     mispredict_penalty: u64,
     icache: Cache,
     dcache: Cache,
     pred: Box<dyn BranchPredictor>,
     /// Cycle at which each architectural register's value becomes available.
-    reg_ready: HashMap<(u8, u16), u64>,
+    reg_ready: Scoreboard,
     /// Completion cycles of the last `rob` instructions, oldest first.
     window: VecDeque<u64>,
     fetch_cycle: u64,
@@ -110,17 +126,18 @@ impl OooCore {
     /// their minimum legal values (a 1-wide front end, a 1-entry ROB) so a
     /// hostile or fuzzed configuration can model a tiny machine but never a
     /// crashing one. `cfg.timing` selects the predictor, replacement
-    /// policy, and prefetcher implementations.
+    /// policy, and prefetcher implementations. Each opcode's class and
+    /// latency are looked up here, once, not per fed instruction.
     pub fn new(isa: &'static IsaSpec, cfg: &CoreConfig, ooo: &OooConfig) -> OooCore {
         let t = cfg.timing;
         OooCore {
-            isa,
+            ops: isa.insts.iter().map(OpTiming::of).collect(),
             ooo: OooConfig { width: ooo.width.max(1), rob: ooo.rob.max(1) },
             mispredict_penalty: cfg.mispredict_penalty,
             icache: Cache::with_components(cfg.icache, t.replacement, t.prefetcher),
             dcache: Cache::with_components(cfg.dcache, t.replacement, t.prefetcher),
             pred: t.predictor.build(cfg.predictor_entries),
-            reg_ready: HashMap::new(),
+            reg_ready: Scoreboard::default(),
             window: VecDeque::new(),
             fetch_cycle: 0,
             last_commit: 0,
@@ -174,19 +191,20 @@ impl OooCore {
         rate(mis, mis + ok)
     }
 
-    /// Feeds one published record.
+    /// Feeds one retired instruction.
     ///
     /// # Errors
     ///
     /// Returns the record's architectural fault, if it carries one — the
     /// stream ends at a fault, exactly as execute-driven simulation does.
-    pub fn feed(&mut self, di: &DynInst) -> Result<(), lis_core::Fault> {
-        if let Some(f) = di.fault {
+    pub fn feed(&mut self, di: &impl RetiredInst) -> Result<(), lis_core::Fault> {
+        if let Some(f) = di.fault() {
             return Err(f);
         }
+        let header = di.header();
         self.fed += 1;
         // Fetch: bandwidth-limited, plus icache misses stall the front end.
-        self.fetch_cycle += self.icache.access(di.header.phys_pc);
+        self.fetch_cycle += self.icache.access(header.phys_pc);
         // ROB: an instruction cannot enter until the oldest of the
         // previous `rob` instructions has completed. The pop is defensive
         // (`>=` plus `if let`, never an `expect`): a record stream this core
@@ -199,31 +217,28 @@ impl OooCore {
         }
         // Issue when sources are ready.
         let mut ready = self.fetch_cycle + 1;
-        if let Some(ops) = di.operands() {
-            for s in ops.srcs() {
-                if let Some(&t) = self.reg_ready.get(&(s.class, s.index)) {
-                    ready = ready.max(t);
-                }
-            }
+        let ops = di.operands();
+        for &s in ops.map_or(&[][..], |o| o.srcs()) {
+            ready = ready.max(self.reg_ready.get(s));
         }
-        let Some(op) = di.field(F_OPCODE) else { return Ok(()) };
-        let mut done = ready + latency(self.isa, op as u16);
-        let class = self.isa.inst(op as u16).class;
+        // An opcode outside the ISA (only a hostile trace carries one)
+        // reads as no opcode at all, by the same degrade-not-abort rule.
+        let timing = di.field(F_OPCODE).and_then(|op| self.ops.get(usize::try_from(op).ok()?));
+        let Some(&OpTiming { class, latency }) = timing else { return Ok(()) };
+        let mut done = ready + latency;
         if matches!(class, InstClass::Load | InstClass::Store) {
             if let Some(ea) = di.field(F_EFF_ADDR) {
                 done += self.dcache.access(ea);
             }
         }
-        if let Some(ops) = di.operands() {
-            for d in ops.dests() {
-                self.reg_ready.insert((d.class, d.index), done);
-            }
+        for &d in ops.map_or(&[][..], |o| o.dests()) {
+            self.reg_ready.set(d, done);
         }
         // Branches redirect fetch when mispredicted, at resolution time.
         if matches!(class, InstClass::Branch | InstClass::Jump) {
             let taken = di.field(F_BR_TAKEN).unwrap_or(0) != 0;
-            let target = di.field(F_BR_TARGET).unwrap_or(di.header.next_pc);
-            if !self.pred.update(di.header.pc, taken, target) {
+            let target = di.field(F_BR_TARGET).unwrap_or(header.next_pc);
+            if !self.pred.update(header.pc, taken, target) {
                 self.fetch_cycle = self.fetch_cycle.max(done + self.mispredict_penalty);
             }
         }

@@ -47,7 +47,7 @@ pub const VERSION: u32 = 2;
 pub use error::{RecordError, TraceError};
 pub use format::{TraceFooter, TraceMeta, CHUNK_TARGET, MAGIC, MAX_PAYLOAD};
 pub use reader::{decode_chunk, Trace, TraceInfo, TraceReader};
-pub use record::TraceRecord;
+pub use record::{RecordView, TraceRecord};
 pub use recorder::{meta_for, record, RecordOptions, RecordSummary};
 pub use replay::{replay_ooo, ReplayConfig};
 pub use wire::{crc32, Cursor};

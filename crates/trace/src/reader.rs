@@ -20,12 +20,28 @@ pub fn decode_chunk(
     ninsts: u32,
     out: &mut Vec<TraceRecord>,
 ) -> Result<(), TraceError> {
+    for_each_record(payload, ninsts, &mut TraceRecord::default(), |rec| out.push(*rec))
+}
+
+/// Decodes the records of one chunk payload one at a time into `rec`,
+/// handing each to `f` as soon as it is decoded — the copy-free form of
+/// [`decode_chunk`], with the same checks.
+///
+/// # Errors
+///
+/// As [`decode_chunk`]; records before the failing one have been handed on.
+pub(crate) fn for_each_record(
+    payload: &[u8],
+    ninsts: u32,
+    rec: &mut TraceRecord,
+    mut f: impl FnMut(&TraceRecord),
+) -> Result<(), TraceError> {
     let mut cur = Cursor::new(payload);
     let mut prev_next_pc = 0u64;
     for _ in 0..ninsts {
-        let rec = TraceRecord::decode(&mut cur, prev_next_pc)?;
+        rec.decode_in_place(&mut cur, prev_next_pc)?;
         prev_next_pc = rec.header.next_pc;
-        out.push(rec);
+        f(rec);
     }
     if !cur.at_end() {
         return Err(TraceError::Corrupt("chunk has trailing bytes after last record"));

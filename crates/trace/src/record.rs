@@ -4,7 +4,10 @@
 //! header/fault/fields/operands payload, but with public storage and
 //! structural equality so traces can be compared, projected, and
 //! re-encoded. Conversion in both directions is lossless for everything an
-//! interface publishes.
+//! interface publishes. Replay needs no conversion at all: a
+//! [`RecordView`] reads a record through any lower visibility in place, and
+//! the core consumes it through [`RetiredInst`], as it consumes a live
+//! [`DynInst`].
 //!
 //! ## Wire encoding (one record)
 //!
@@ -29,8 +32,8 @@
 use crate::error::TraceError;
 use crate::wire::{put_iv, put_uv, Cursor};
 use lis_core::{
-    DynInst, Fault, FieldId, FieldSet, Frame, InstHeader, Operands, RegClass, Visibility, MAX_DEST,
-    MAX_FIELDS, MAX_SRC,
+    DynInst, Fault, FieldId, FieldSet, Frame, InstHeader, Operands, RegClass, RetiredInst,
+    Visibility, MAX_DEST, MAX_FIELDS, MAX_SRC,
 };
 
 const FLAG_FAULT: u8 = 1 << 0;
@@ -119,52 +122,23 @@ impl TraceRecord {
         }
     }
 
+    /// A borrowed view of this record as an interface of visibility `vis`
+    /// would have published it — what [`TraceRecord::project`] returns,
+    /// without the copy: hidden fields and operand identifiers are masked
+    /// when read.
+    #[inline]
+    pub fn view(&self, vis: Visibility) -> RecordView<'_> {
+        RecordView {
+            rec: self,
+            fields_valid: FieldSet(self.fields_valid.0 & vis.fields.0),
+            ops: if vis.operand_ids { self.ops.as_ref() } else { None },
+        }
+    }
+
     /// Appends this record's wire encoding. `prev_next_pc` is the previous
     /// record's `next_pc` in the same chunk (0 at a chunk start).
     pub fn encode(&self, out: &mut Vec<u8>, prev_next_pc: u64) {
-        let h = &self.header;
-        let mut flags = 0u8;
-        if self.fault.is_some() {
-            flags |= FLAG_FAULT;
-        }
-        if self.ops.is_some() {
-            flags |= FLAG_OPS;
-        }
-        if h.pc == prev_next_pc {
-            flags |= FLAG_PC_SEQ;
-        }
-        if h.next_pc == h.pc.wrapping_add(4) {
-            flags |= FLAG_NEXT_SEQ;
-        }
-        if h.phys_pc == h.pc {
-            flags |= FLAG_PHYS_EQ;
-        }
-        out.push(flags);
-        if flags & FLAG_PC_SEQ == 0 {
-            put_iv(out, h.pc.wrapping_sub(prev_next_pc) as i64);
-        }
-        if flags & FLAG_PHYS_EQ == 0 {
-            put_iv(out, h.phys_pc.wrapping_sub(h.pc) as i64);
-        }
-        put_uv(out, u64::from(h.instr_bits));
-        if flags & FLAG_NEXT_SEQ == 0 {
-            put_iv(out, h.next_pc.wrapping_sub(h.pc.wrapping_add(4)) as i64);
-        }
-        put_uv(out, self.fields_valid.0);
-        for id in self.fields_valid.iter() {
-            put_uv(out, self.fields[id.index()]);
-        }
-        if let Some(ops) = &self.ops {
-            debug_assert!(ops.n_srcs() <= MAX_SRC && ops.n_dests() <= MAX_DEST);
-            out.push((ops.n_srcs() as u8) | ((ops.n_dests() as u8) << 4));
-            for r in ops.srcs().iter().chain(ops.dests()) {
-                out.push(r.class);
-                put_uv(out, u64::from(r.index));
-            }
-        }
-        if let Some(fault) = self.fault {
-            encode_fault(out, fault);
-        }
+        encode_inst(self, out, prev_next_pc);
     }
 
     /// Decodes one record, advancing `cur`. `prev_next_pc` mirrors
@@ -175,6 +149,20 @@ impl TraceRecord {
     /// [`TraceError::Truncated`] or [`TraceError::Corrupt`] on any byte
     /// stream that could not have been produced by the encoder.
     pub fn decode(cur: &mut Cursor<'_>, prev_next_pc: u64) -> Result<TraceRecord, TraceError> {
+        let mut rec = TraceRecord::default();
+        rec.decode_in_place(cur, prev_next_pc)?;
+        Ok(rec)
+    }
+
+    /// [`TraceRecord::decode`] into `self`, reusing its storage: only the
+    /// published field slots are written, and the slots of the record it
+    /// replaces are zeroed, so slots outside `fields_valid` stay zero even
+    /// when decoding fails part way.
+    pub(crate) fn decode_in_place(
+        &mut self,
+        cur: &mut Cursor<'_>,
+        prev_next_pc: u64,
+    ) -> Result<(), TraceError> {
         let flags = cur.u8()?;
         if flags & !FLAG_KNOWN != 0 {
             return Err(TraceError::Corrupt("unknown record flags"));
@@ -195,16 +183,19 @@ impl TraceRecord {
         } else {
             pc.wrapping_add(4).wrapping_add(cur.iv()? as u64)
         };
+        self.header = InstHeader { pc, phys_pc, instr_bits: bits as u32, next_pc };
         let mask = cur.uv()?;
         if mask & !FieldSet::ALL.0 != 0 {
             return Err(TraceError::Corrupt("field mask has bits beyond MAX_FIELDS"));
         }
-        let fields_valid = FieldSet(mask);
-        let mut fields = [0u64; MAX_FIELDS];
-        for id in fields_valid.iter() {
-            fields[id.index()] = cur.uv()?;
+        for id in FieldSet(self.fields_valid.0 & !mask).iter() {
+            self.fields[id.index()] = 0;
         }
-        let ops = if flags & FLAG_OPS != 0 {
+        self.fields_valid = FieldSet(mask);
+        for id in self.fields_valid.iter() {
+            self.fields[id.index()] = cur.uv()?;
+        }
+        self.ops = if flags & FLAG_OPS != 0 {
             let counts = cur.u8()?;
             let (nsrc, ndest) = ((counts & 0x0f) as usize, (counts >> 4) as usize);
             if nsrc > MAX_SRC || ndest > MAX_DEST {
@@ -227,19 +218,129 @@ impl TraceRecord {
         } else {
             None
         };
-        let fault = if flags & FLAG_FAULT != 0 { Some(decode_fault(cur)?) } else { None };
-        Ok(TraceRecord {
-            header: InstHeader { pc, phys_pc, instr_bits: bits as u32, next_pc },
-            fault,
-            fields,
-            fields_valid,
-            ops,
-        })
+        self.fault = if flags & FLAG_FAULT != 0 { Some(decode_fault(cur)?) } else { None };
+        Ok(())
     }
 
     /// Reads a field value, mirroring [`DynInst::field`].
+    #[inline]
     pub fn field(&self, id: FieldId) -> Option<u64> {
         self.fields_valid.contains(id).then(|| self.fields[id.index()])
+    }
+}
+
+/// A record read at its recorded visibility.
+impl RetiredInst for TraceRecord {
+    #[inline]
+    fn header(&self) -> &InstHeader {
+        &self.header
+    }
+
+    #[inline]
+    fn fault(&self) -> Option<Fault> {
+        self.fault
+    }
+
+    #[inline]
+    fn fields_valid(&self) -> FieldSet {
+        self.fields_valid
+    }
+
+    #[inline]
+    fn field(&self, id: FieldId) -> Option<u64> {
+        TraceRecord::field(self, id)
+    }
+
+    #[inline]
+    fn operands(&self) -> Option<&Operands> {
+        self.ops.as_ref()
+    }
+}
+
+/// A [`TraceRecord`] seen through a lower visibility; built by
+/// [`TraceRecord::view`]. Reads exactly what the projected record would
+/// hold, and copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    rec: &'a TraceRecord,
+    fields_valid: FieldSet,
+    ops: Option<&'a Operands>,
+}
+
+impl RetiredInst for RecordView<'_> {
+    #[inline]
+    fn header(&self) -> &InstHeader {
+        &self.rec.header
+    }
+
+    #[inline]
+    fn fault(&self) -> Option<Fault> {
+        self.rec.fault
+    }
+
+    #[inline]
+    fn fields_valid(&self) -> FieldSet {
+        self.fields_valid
+    }
+
+    #[inline]
+    fn field(&self, id: FieldId) -> Option<u64> {
+        self.fields_valid.contains(id).then(|| self.rec.fields[id.index()])
+    }
+
+    #[inline]
+    fn operands(&self) -> Option<&Operands> {
+        self.ops
+    }
+}
+
+/// Appends the wire encoding of one retired instruction — a record or a
+/// live [`DynInst`] alike. `prev_next_pc` is the previous record's
+/// `next_pc` in the same chunk (0 at a chunk start).
+pub(crate) fn encode_inst(inst: &impl RetiredInst, out: &mut Vec<u8>, prev_next_pc: u64) {
+    let h = inst.header();
+    let (fault, ops, fields_valid) = (inst.fault(), inst.operands(), inst.fields_valid());
+    let mut flags = 0u8;
+    if fault.is_some() {
+        flags |= FLAG_FAULT;
+    }
+    if ops.is_some() {
+        flags |= FLAG_OPS;
+    }
+    if h.pc == prev_next_pc {
+        flags |= FLAG_PC_SEQ;
+    }
+    if h.next_pc == h.pc.wrapping_add(4) {
+        flags |= FLAG_NEXT_SEQ;
+    }
+    if h.phys_pc == h.pc {
+        flags |= FLAG_PHYS_EQ;
+    }
+    out.push(flags);
+    if flags & FLAG_PC_SEQ == 0 {
+        put_iv(out, h.pc.wrapping_sub(prev_next_pc) as i64);
+    }
+    if flags & FLAG_PHYS_EQ == 0 {
+        put_iv(out, h.phys_pc.wrapping_sub(h.pc) as i64);
+    }
+    put_uv(out, u64::from(h.instr_bits));
+    if flags & FLAG_NEXT_SEQ == 0 {
+        put_iv(out, h.next_pc.wrapping_sub(h.pc.wrapping_add(4)) as i64);
+    }
+    put_uv(out, fields_valid.0);
+    for id in fields_valid.iter() {
+        put_uv(out, inst.field(id).unwrap_or(0));
+    }
+    if let Some(ops) = ops {
+        debug_assert!(ops.n_srcs() <= MAX_SRC && ops.n_dests() <= MAX_DEST);
+        out.push((ops.n_srcs() as u8) | ((ops.n_dests() as u8) << 4));
+        for r in ops.srcs().iter().chain(ops.dests()) {
+            out.push(r.class);
+            put_uv(out, u64::from(r.index));
+        }
+    }
+    if let Some(fault) = fault {
+        encode_fault(out, fault);
     }
 }
 

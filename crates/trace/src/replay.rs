@@ -11,7 +11,7 @@
 //! approximation of the full prefix state.
 
 use crate::error::TraceError;
-use crate::reader::{decode_chunk, Trace};
+use crate::reader::{for_each_record, Trace};
 use crate::record::TraceRecord;
 use lis_core::{IsaSpec, Visibility};
 use lis_timing::{CoreConfig, OooConfig, OooCore, TimingReport};
@@ -57,23 +57,26 @@ fn run_shard(
     let mut core = OooCore::new(spec, &cfg.core, &cfg.ooo);
     let warm_from = from.saturating_sub(cfg.warmup_chunks);
     let mut measuring = false;
-    let mut buf: Vec<TraceRecord> = Vec::new();
+    let mut rec = TraceRecord::default();
+    let mut faulted = false;
     for (i, (payload, ninsts)) in trace.chunks[warm_from..to].iter().enumerate() {
         if warm_from + i == from {
             core.mark_measurement_start();
             measuring = true;
         }
-        decode_chunk(payload, *ninsts, &mut buf)?;
-        for rec in buf.drain(..) {
-            let di = rec.project(cfg.projection).to_dyninst();
-            // A recorded fault ends the stream; the shard's report covers
-            // everything measured up to it, same as the execute-driven run.
-            if core.feed(&di).is_err() {
-                if !measuring {
-                    core.mark_measurement_start();
-                }
-                return Ok(core.report("trace-ooo"));
+        // Each record is decoded in place and fed as a projection view:
+        // nothing is copied per record. Records after a fault are still
+        // decoded, so a corrupt chunk is an error wherever its fault sits.
+        for_each_record(payload, *ninsts, &mut rec, |r| {
+            faulted = faulted || core.feed(&r.view(cfg.projection)).is_err();
+        })?;
+        // A recorded fault ends the stream; the shard's report covers
+        // everything measured up to it, same as the execute-driven run.
+        if faulted {
+            if !measuring {
+                core.mark_measurement_start();
             }
+            return Ok(core.report("trace-ooo"));
         }
     }
     if !measuring {

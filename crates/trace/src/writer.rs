@@ -4,8 +4,8 @@ use crate::error::TraceError;
 use crate::format::{
     write_frame, TraceFooter, TraceMeta, CHUNK_TARGET, KIND_DATA, KIND_FOOTER, KIND_HEADER, MAGIC,
 };
-use crate::record::TraceRecord;
-use lis_core::DynInst;
+use crate::record::encode_inst;
+use lis_core::{DynInst, RetiredInst};
 use std::io::Write;
 
 /// Writes a trace incrementally: header first, then records (chunked
@@ -59,14 +59,15 @@ impl<W: Write> TraceWriter<W> {
         })
     }
 
-    /// Appends one record.
+    /// Appends one record: a [`TraceRecord`](crate::TraceRecord), a view
+    /// of one, or a live [`DynInst`], encoded straight from its fields.
     ///
     /// # Errors
     ///
     /// [`TraceError::Io`] when a full chunk fails to flush.
-    pub fn push(&mut self, rec: &TraceRecord) -> Result<(), TraceError> {
-        rec.encode(&mut self.payload, self.prev_next_pc);
-        self.prev_next_pc = rec.header.next_pc;
+    pub fn push(&mut self, rec: &impl RetiredInst) -> Result<(), TraceError> {
+        encode_inst(rec, &mut self.payload, self.prev_next_pc);
+        self.prev_next_pc = rec.header().next_pc;
         self.ninsts_in_chunk += 1;
         self.total += 1;
         if self.payload.len() >= self.chunk_target {
@@ -81,7 +82,7 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// See [`TraceWriter::push`].
     pub fn push_dyninst(&mut self, di: &DynInst) -> Result<(), TraceError> {
-        self.push(&TraceRecord::from_dyninst(di))
+        self.push(di)
     }
 
     /// Records written so far.

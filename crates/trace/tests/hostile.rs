@@ -2,7 +2,11 @@
 //! mislabeled bytes must return a typed [`TraceError`] — never panic, never
 //! loop, never hand back silently-wrong records.
 
-use lis_trace::{RecordOptions, Trace, TraceError, TraceInfo};
+use lis_core::{FieldSet, InstHeader, F_EFF_ADDR, F_OPCODE};
+use lis_trace::{
+    meta_for, replay_ooo, RecordOptions, ReplayConfig, Trace, TraceError, TraceFooter, TraceInfo,
+    TraceRecord, TraceWriter,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -21,6 +25,33 @@ fn valid_trace() -> &'static [u8] {
         lis_trace::record(spec, &image, &mut bytes, &opts).expect("recording succeeds");
         bytes
     })
+}
+
+#[test]
+fn out_of_range_opcode_replays_without_panicking() {
+    // Regression: the out-of-order core indexed the ISA's instruction table
+    // with the record's opcode field, so a CRC-valid trace carrying an
+    // opcode past the last instruction panicked the replay. Such a record
+    // now reads as opcode-less: counted, not timed.
+    let spec = lis_workloads::spec_of("alpha");
+    let n = spec.num_insts() as u64;
+    let meta = meta_for(spec, &RecordOptions::default());
+    let mut writer = TraceWriter::new(Vec::new(), &meta).expect("in-memory writer");
+    for (i, op) in [0, n, n + 1, u64::from(u16::MAX) + 1, u64::MAX].into_iter().enumerate() {
+        let pc = 0x1000 + 4 * i as u64;
+        let mut rec = TraceRecord {
+            header: InstHeader { pc, phys_pc: pc, instr_bits: 0, next_pc: pc + 4 },
+            fields_valid: FieldSet::of(&[F_OPCODE, F_EFF_ADDR]),
+            ..TraceRecord::default()
+        };
+        rec.fields[F_OPCODE.index()] = op;
+        rec.fields[F_EFF_ADDR.index()] = 0x8000;
+        writer.push(&rec).expect("in-memory push");
+    }
+    let bytes = writer.finish(&TraceFooter { insts: 5, ..TraceFooter::default() }).expect("finish");
+    let trace = Trace::read_from(bytes.as_slice()).expect("the crafted trace is well-formed");
+    let report = replay_ooo(spec, &trace, &ReplayConfig::default()).expect("replay succeeds");
+    assert_eq!(report.insts, 5, "every record is counted");
 }
 
 #[test]
