@@ -17,9 +17,8 @@
 //! all deterministic counters — normalized to the `block-min` cell of the
 //! same (ISA, kernel, backend) block, the paper's 1.0 baseline. Because no
 //! wall-clock enters the metric, `BENCH_sweep.json` is byte-identical across
-//! repeated runs, hosts, and any `--jobs` count. Wall-clock MIPS can be
-//! added per cell with [`SweepConfig::measure_time`], which is explicitly
-//! opt-in because it forfeits that guarantee.
+//! repeated runs, hosts, and any `--jobs` count. Wall-clock speed is
+//! measured by `perfbench/`, never written here.
 
 use crate::semantic_rank;
 use lis_core::{BuildsetDef, JsonObj, STANDARD_BUILDSETS};
@@ -54,10 +53,6 @@ pub struct SweepConfig {
     pub max_insts: u64,
     /// Per-cell wall-clock watchdog; a wedged cell is marked, not hung on.
     pub deadline: Option<Duration>,
-    /// Include wall-clock timing (per-cell seconds and MIPS, pool size,
-    /// elapsed) in the JSON. Off by default: timing is host noise and
-    /// breaks the bit-identical-output guarantee.
-    pub measure_time: bool,
     /// Extra attempts for a cell whose run panics. Each retry runs at once,
     /// one rung down the backend demotion ladder; a cell that exhausts the
     /// budget is reported crashed, and the pool survives either way.
@@ -81,7 +76,6 @@ impl Default for SweepConfig {
             backends: vec![Backend::Cached],
             max_insts: 50_000_000,
             deadline: Some(Duration::from_secs(120)),
-            measure_time: false,
             retries: 2,
             panic_cell: None,
             timings: vec![TimingConfig::CLASSIC],
@@ -134,12 +128,42 @@ pub struct CellResult {
     /// Out-of-order model report under `timing` (absent when the functional
     /// pass faulted, wedged, or crashed).
     pub timing_report: Option<TimingReport>,
-    /// Wall-clock seconds for the cell (reported only with `measure_time`).
+    /// Wall-clock seconds of the cell's functional pass (never written to
+    /// the JSON: it is host noise).
     pub secs: f64,
     /// Attempts that panicked before this result (0 for a clean cell).
     pub crashes: u32,
     /// Rendered crash messages, one per failed attempt.
     pub crash: Option<String>,
+}
+
+impl CellResult {
+    /// Why the cell failed, or `None` for a clean halt with exit code 0.
+    /// A crash is named first (even one a retry recovered from), then a
+    /// fault, an expired watchdog, an exhausted instruction budget, and a
+    /// non-zero exit code.
+    pub fn problem(&self) -> Option<String> {
+        if let Some(msg) = &self.crash {
+            return Some(if self.halted && self.exit_code == 0 {
+                format!("crashed {} time(s), recovered on retry [{msg}]", self.crashes)
+            } else {
+                format!("crashed {} time(s) [{msg}]", self.crashes)
+            });
+        }
+        if let Some(f) = &self.fault {
+            return Some(f.clone());
+        }
+        if self.deadline_expired {
+            return Some("deadline expired".into());
+        }
+        if !self.halted {
+            return Some(format!(
+                "did not halt within the instruction budget (stopped after {} instructions)",
+                self.stats.insts
+            ));
+        }
+        (self.exit_code != 0).then(|| format!("exit code {}", self.exit_code))
+    }
 }
 
 /// One row of the aggregated ratio table: a (buildset, backend) pair with
@@ -175,8 +199,6 @@ pub struct SweepReport {
     pub jobs: usize,
     /// Whole-sweep wall-clock seconds.
     pub elapsed_secs: f64,
-    /// Whether timing fields belong in the JSON.
-    pub measure_time: bool,
 }
 
 /// Validates a kernel subset against the suite (which is identical across
@@ -309,42 +331,17 @@ fn run_cell(cell: &SweepCell, cfg: &SweepConfig, attempt: u32) -> CellResult {
             }
         }
     }
-    let mut secs = t0.elapsed().as_secs_f64();
+    let secs = t0.elapsed().as_secs_f64();
     let stats = sim.stats;
     let halted = sim.state.halted;
     let exit_code = sim.state.exit_code;
-    // With `--time`, a single pass over these kernels (a few thousand
-    // dynamic instructions) is dominated by construction and translation,
-    // not execution. Re-run the program to a steady-state instruction
-    // floor, timing only the execution, and scale `secs` so the cell's
-    // insts/secs is the steady-state rate. The deterministic counters
-    // above are untouched — they come from the first, canonical pass.
-    if cfg.measure_time && fault.is_none() && !deadline_expired && halted {
-        const TIME_FLOOR: u64 = 1_000_000;
-        let mut timed_insts = 0u64;
-        let mut timed_secs = 0.0f64;
-        while timed_insts < TIME_FLOOR && !watchdog.expired() {
-            if sim.reset_program(&image).is_err() {
-                break;
-            }
-            let before = sim.stats.insts;
-            let t1 = Instant::now();
-            if sim.run_to_halt(cfg.max_insts).is_err() {
-                break;
-            }
-            timed_secs += t1.elapsed().as_secs_f64();
-            timed_insts += sim.stats.insts - before;
-        }
-        if timed_insts > 0 && timed_secs > 0.0 {
-            secs = stats.insts as f64 * timed_secs / timed_insts as f64;
-        }
-    }
     let units_per_inst =
         if stats.insts == 0 { 0.0 } else { stats.detail_units() as f64 / stats.insts as f64 };
     // Re-time the kernel under the cell's preset: a separate functional-first
     // out-of-order pass whose component selection is the only variable. A
     // pure function of (ISA, kernel, preset) — deterministic across jobs and
-    // hosts like every other counter in the cell.
+    // hosts like every other counter in the cell, and equal across buildsets
+    // and backends (`multi_preset_sweep_is_bit_identical_across_job_counts`).
     let timing_report = if halted && fault.is_none() && !deadline_expired {
         let core = CoreConfig { timing: cell.timing, ..CoreConfig::default() };
         run_functional_first_ooo(spec_of(cell.isa), &image, &core, &OooConfig::default()).ok()
@@ -509,7 +506,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, String> {
         max_insts: cfg.max_insts,
         jobs,
         elapsed_secs: t0.elapsed().as_secs_f64(),
-        measure_time: cfg.measure_time,
     })
 }
 
@@ -526,7 +522,7 @@ fn json_str_array<S: AsRef<str>>(items: &[S]) -> String {
 }
 
 /// Renders the whole sweep as one JSON document (`BENCH_sweep.json`).
-/// Deterministic by construction unless `measure_time` was set.
+/// Deterministic by construction: no wall-clock field is written.
 pub fn to_json(r: &SweepReport) -> String {
     let mut o = JsonObj::new();
     o.str("schema", "lis-sweep-v1");
@@ -543,10 +539,6 @@ pub fn to_json(r: &SweepReport) -> String {
     );
     o.raw("timings", &json_str_array(&r.timings.iter().map(|t| t.name).collect::<Vec<_>>()));
     o.u64("max_insts", r.max_insts);
-    if r.measure_time {
-        o.u64("jobs", r.jobs as u64);
-        o.f64("elapsed_secs", r.elapsed_secs);
-    }
 
     let mut cells = String::from("[");
     for (i, c) in r.cells.iter().enumerate() {
@@ -591,10 +583,6 @@ pub fn to_json(r: &SweepReport) -> String {
             if let Some(msg) = &c.crash {
                 co.str("crash", msg);
             }
-        }
-        if r.measure_time {
-            co.f64("secs", c.secs);
-            co.f64("mips", c.stats.insts as f64 / c.secs.max(1e-9) / 1e6);
         }
         cells.push_str(&co.finish());
     }
@@ -827,106 +815,6 @@ pub fn render_markdown(r: &SweepReport) -> String {
         out.push('\n');
     }
 
-    if r.measure_time && r.backends.len() > 1 {
-        let _ = writeln!(out, "## Backend ablation: wall-clock speed\n");
-        let _ = writeln!(
-            out,
-            "Geometric-mean MIPS over ISAs and kernels per backend (host-dependent, \
-             unlike the unit tables above); speedup is relative to `cached`.\n"
-        );
-        let mips_of = |bs_name: &str, backend: Backend| -> f64 {
-            let v: Vec<f64> = r
-                .cells
-                .iter()
-                .filter(|c| c.buildset == bs_name && c.backend == backend && c.secs > 0.0)
-                .map(|c| c.stats.insts as f64 / c.secs / 1e6)
-                .collect();
-            geomean(&v)
-        };
-        let mut header = String::from("| interface |");
-        let mut rule = String::from("|---|");
-        for &b in &r.backends {
-            header.push_str(&format!(" {} MIPS |", backend_name(b)));
-            rule.push_str("---|");
-        }
-        let cached = r.backends.contains(&Backend::Cached);
-        for &b in &r.backends {
-            if cached && b != Backend::Cached {
-                header.push_str(&format!(" {}/cached |", backend_name(b)));
-                rule.push_str("---|");
-            }
-        }
-        let _ = writeln!(out, "{header}");
-        let _ = writeln!(out, "{rule}");
-        let mut sets: Vec<&BuildsetDef> = STANDARD_BUILDSETS.iter().collect();
-        sets.sort_by_key(|bs| semantic_rank(bs));
-        for bs in sets {
-            let mut line = format!("| {} |", bs.name);
-            let base = mips_of(bs.name, Backend::Cached);
-            for &b in &r.backends {
-                line.push_str(&format!(" {:.2} |", mips_of(bs.name, b)));
-            }
-            for &b in &r.backends {
-                if cached && b != Backend::Cached {
-                    let m = mips_of(bs.name, b);
-                    if base > 0.0 {
-                        line.push_str(&format!(" {:.2}x |", m / base));
-                    } else {
-                        line.push_str(" - |");
-                    }
-                }
-            }
-            let _ = writeln!(out, "{line}");
-        }
-        out.push('\n');
-        // The geomean above folds every ISA together, but the translation
-        // win is ISA-dependent (ARM's shared semantic cost — predicate
-        // check, barrel shifter, flag updates — is paid identically by both
-        // backends and caps its ratio). Break out the flagship translated
-        // interfaces per ISA, matching the paper's per-ISA tables.
-        if cached && r.backends.contains(&Backend::Compiled) {
-            let _ = writeln!(
-                out,
-                "Per-ISA breakdown of the translated interfaces (geomean over \
-                 kernels):\n"
-            );
-            let _ = writeln!(out, "| ISA | interface | cached MIPS | compiled MIPS | speedup |");
-            let _ = writeln!(out, "|---|---|---|---|---|");
-            let mut isas: Vec<&'static str> = Vec::new();
-            for c in &r.cells {
-                if !isas.contains(&c.isa) {
-                    isas.push(c.isa);
-                }
-            }
-            let isa_mips = |isa: &str, bs_name: &str, backend: Backend| -> f64 {
-                let v: Vec<f64> = r
-                    .cells
-                    .iter()
-                    .filter(|c| {
-                        c.isa == isa
-                            && c.buildset == bs_name
-                            && c.backend == backend
-                            && c.secs > 0.0
-                    })
-                    .map(|c| c.stats.insts as f64 / c.secs / 1e6)
-                    .collect();
-                geomean(&v)
-            };
-            for isa in isas {
-                for bs_name in ["block-min", "block-decode"] {
-                    let base = isa_mips(isa, bs_name, Backend::Cached);
-                    let m = isa_mips(isa, bs_name, Backend::Compiled);
-                    let speed = if base > 0.0 { format!("{:.2}x", m / base) } else { "-".into() };
-                    let _ = writeln!(out, "| {isa} | {bs_name} | {base:.2} | {m:.2} | {speed} |");
-                }
-            }
-            out.push('\n');
-        }
-    }
-    if r.measure_time {
-        let _ =
-            writeln!(out, "Sweep wall-clock: {:.1}s with {} worker(s).", r.elapsed_secs, r.jobs);
-    }
     out
 }
 
@@ -984,6 +872,7 @@ mod tests {
         // three component dimensions, and the JSON still a pure function of
         // the configuration.
         let multi = |jobs| SweepConfig {
+            backends: vec![Backend::Cached, Backend::Interpreted, Backend::Compiled],
             timings: resolve_timings(&["classic".into(), "aggressive".into()]).unwrap(),
             ..tiny(jobs)
         };
@@ -991,7 +880,26 @@ mod tests {
         let b = run_sweep(&multi(4)).expect("sweeps");
         assert_eq!(to_json(&a), to_json(&b), "jobs=1 and jobs=4 must produce identical bytes");
 
-        assert_eq!(a.cells.len(), 2 * 12 * 3, "preset axis doubles the matrix");
+        assert_eq!(a.cells.len(), 2 * 3 * 12 * 3, "presets x backends x buildsets x ISAs");
+        // The timing report is a pure function of (ISA, kernel, preset):
+        // every buildset and backend of one triple re-times to the same
+        // report.
+        let mut reports: HashMap<(&str, &str, &str), String> = HashMap::new();
+        for c in &a.cells {
+            let json = c.timing_report.as_ref().expect("clean cells are re-timed").to_json();
+            let first = reports.entry((c.isa, c.kernel, c.timing.name)).or_insert(json.clone());
+            assert_eq!(
+                *first,
+                json,
+                "{}/{}/{}/{} under {}",
+                c.isa,
+                c.buildset,
+                c.kernel,
+                backend_name(c.backend),
+                c.timing.name
+            );
+        }
+        assert_eq!(reports.len(), 3 * 2, "one report per (ISA, kernel, preset)");
         let json = to_json(&a);
         assert!(json.contains("\"timings\":[\"classic\",\"aggressive\"]"));
         assert!(json.contains("\"preset\":\"aggressive\""));
@@ -1079,12 +987,29 @@ mod tests {
     }
 
     #[test]
+    fn budget_truncated_cells_report_the_budget() {
+        let report = run_sweep(&SweepConfig { max_insts: 10, ..tiny(1) }).expect("sweeps");
+        assert_eq!(report.cells.len(), 12 * 3);
+        for c in &report.cells {
+            assert!(!c.halted, "{}/{}: 10 instructions cannot finish gcd", c.isa, c.buildset);
+            let problem = c.problem().expect("a truncated cell is a failed cell");
+            assert!(
+                problem.contains("did not halt within the instruction budget"),
+                "{}/{}: {problem}",
+                c.isa,
+                c.buildset
+            );
+        }
+    }
+
+    #[test]
     fn ratios_are_normalized_to_block_min() {
         let report = run_sweep(&tiny(0)).expect("sweeps");
         assert_eq!(report.cells.len(), 12 * 3);
         for c in &report.cells {
             assert!(c.halted, "{}/{}/{}: kernel halts", c.isa, c.buildset, c.kernel);
             assert_eq!(c.exit_code, 0, "{}/{}: clean exit", c.isa, c.buildset);
+            assert_eq!(c.problem(), None, "{}/{}: clean cell", c.isa, c.buildset);
             if c.buildset == BASELINE_BUILDSET {
                 assert!((c.ratio - 1.0).abs() < 1e-12, "baseline is exactly 1.0");
             } else {

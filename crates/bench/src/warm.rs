@@ -5,15 +5,15 @@
 //! (translating everything, publishing its artifacts) and warm (seeding
 //! predecoded blocks and compiled superblocks from the store) — and proves
 //! the two runs byte-equal before reporting. The JSON scoreboard
-//! (`BENCH_serve.json`) is deterministic by construction; wall-clock
-//! numbers appear only under `measure_time`, same policy as the sweep.
+//! (`BENCH_serve.json`) is deterministic by construction: it carries no
+//! wall-clock field, same policy as the sweep. The cold and warm request
+//! times are measured by `perfbench/` (`serve.execute_us.{cold,warm}`).
 
 use lis_core::JsonObj;
 use lis_harness::backend_name;
 use lis_runtime::{ArtifactKey, ArtifactStore, Backend, Simulator, StoreStats};
 use lis_workloads::{spec_of, ISAS};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What to measure.
 #[derive(Debug, Clone)]
@@ -26,8 +26,6 @@ pub struct WarmConfig {
     pub backends: Vec<Backend>,
     /// Instruction budget per run.
     pub max_insts: u64,
-    /// Include wall-clock seconds (host noise; breaks determinism).
-    pub measure_time: bool,
 }
 
 impl Default for WarmConfig {
@@ -37,7 +35,6 @@ impl Default for WarmConfig {
             buildsets: vec!["block-all".to_string(), "block-min".to_string()],
             backends: vec![Backend::Cached, Backend::Compiled],
             max_insts: 100_000_000,
-            measure_time: false,
         }
     }
 }
@@ -64,10 +61,6 @@ pub struct WarmCell {
     /// Whether cold and warm agreed on stdout, exit code, instruction
     /// count, and detail units.
     pub equal: bool,
-    /// Cold wall-clock seconds (only under `measure_time`).
-    pub cold_secs: f64,
-    /// Warm wall-clock seconds (only under `measure_time`).
-    pub warm_secs: f64,
 }
 
 /// The whole scoreboard.
@@ -79,8 +72,6 @@ pub struct WarmReport {
     pub store: StoreStats,
     /// The budget each run got.
     pub max_insts: u64,
-    /// Whether wall-clock fields are included in the JSON.
-    pub measure_time: bool,
 }
 
 impl WarmReport {
@@ -111,21 +102,18 @@ pub fn run_warm(cfg: &WarmConfig) -> Result<WarmReport, String> {
                 for &backend in &cfg.backends {
                     let label = format!("{isa}/{bs_name}/{kname}/{}", backend_name(backend));
 
-                    let t0 = Instant::now();
                     let mut cold = Simulator::new(spec_of(isa), bs).map_err(|e| e.to_string())?;
                     cold.set_backend(backend);
                     cold.load_program(&image).map_err(|e| e.to_string())?;
                     let cs = cold
                         .run_to_halt(cfg.max_insts)
                         .map_err(|e| format!("{label}: cold: {e}"))?;
-                    let cold_secs = t0.elapsed().as_secs_f64();
                     let key = ArtifactKey::new(isa, &image, bs.name, backend);
                     let art = cold
                         .export_artifacts()
                         .ok_or_else(|| format!("{label}: cold run refused to export"))?;
                     store.insert(key, Arc::new(art));
 
-                    let t1 = Instant::now();
                     let mut warm = Simulator::new(spec_of(isa), bs).map_err(|e| e.to_string())?;
                     warm.set_backend(backend);
                     warm.load_program(&image).map_err(|e| e.to_string())?;
@@ -137,7 +125,6 @@ pub fn run_warm(cfg: &WarmConfig) -> Result<WarmReport, String> {
                     let ws = warm
                         .run_to_halt(cfg.max_insts)
                         .map_err(|e| format!("{label}: warm: {e}"))?;
-                    let warm_secs = t1.elapsed().as_secs_f64();
 
                     let equal = cs.exit_code == ws.exit_code
                         && cs.insts == ws.insts
@@ -156,23 +143,15 @@ pub fn run_warm(cfg: &WarmConfig) -> Result<WarmReport, String> {
                         warm_blocks_built: warm.stats.blocks_built,
                         seeded: seeded as u64,
                         equal,
-                        cold_secs,
-                        warm_secs,
                     });
                 }
             }
         }
     }
-    Ok(WarmReport {
-        cells,
-        store: store.stats(),
-        max_insts: cfg.max_insts,
-        measure_time: cfg.measure_time,
-    })
+    Ok(WarmReport { cells, store: store.stats(), max_insts: cfg.max_insts })
 }
 
-/// Renders the scoreboard (`BENCH_serve.json`). Deterministic unless
-/// `measure_time` was set.
+/// Renders the scoreboard (`BENCH_serve.json`), deterministically.
 pub fn to_json(r: &WarmReport) -> String {
     let mut o = JsonObj::new();
     o.str("schema", "lis-serve-warm-v1");
@@ -199,11 +178,6 @@ pub fn to_json(r: &WarmReport) -> String {
             .u64("warm_blocks_built", c.warm_blocks_built)
             .u64("seeded", c.seeded)
             .bool("equal", c.equal);
-        if r.measure_time {
-            co.f64("cold_secs", c.cold_secs);
-            co.f64("warm_secs", c.warm_secs);
-            co.f64("speedup", c.cold_secs / c.warm_secs.max(1e-9));
-        }
         cells.push_str(&co.finish());
     }
     cells.push(']');
@@ -224,17 +198,14 @@ pub fn render(r: &WarmReport) -> String {
         r.store.entries
     );
     for c in &r.cells {
-        let mut line = format!(
+        let _ = writeln!(
+            out,
             "  {:<34} cold built {:>4} blocks, warm seeded {:>4}, built {}",
             format!("{}/{}/{}/{}", c.isa, c.buildset, c.kernel, backend_name(c.backend)),
             c.cold_blocks_built,
             c.seeded,
             c.warm_blocks_built
         );
-        if r.measure_time {
-            let _ = write!(line, "  ({:.1}x)", c.cold_secs / c.warm_secs.max(1e-9));
-        }
-        let _ = writeln!(out, "{line}");
     }
     let _ = writeln!(out, "all cells cold==warm: {}", if r.ok() { "yes" } else { "NO" });
     out
@@ -263,7 +234,7 @@ mod tests {
         let json = to_json(&report);
         assert!(json.contains(r#""schema":"lis-serve-warm-v1""#));
         assert!(json.contains(r#""ok":true"#));
-        assert!(!json.contains("cold_secs"), "no wall-clock without measure_time");
+        assert!(!json.contains("secs"), "no wall-clock in the scoreboard");
         // Deterministic: the same matrix renders byte-identically.
         let again = to_json(&run_warm(&cfg).expect("matrix reruns"));
         assert_eq!(json, again);

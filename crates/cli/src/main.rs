@@ -15,7 +15,7 @@
 //! lis trace info <prog.lst>
 //! lis trace replay <prog.lst> [--shards N] [--stats-json]
 //! lis serve --listen 127.0.0.1:4915 [--jobs N] [--drain-deadline S]
-//! lis serve --bench-warm [-o BENCH_serve.json] [--time]
+//! lis serve --bench-warm [-o BENCH_serve.json]
 //! lis connect <addr>
 //! ```
 //!
@@ -168,8 +168,6 @@ options for `sweep`:
                         aggressive | stream | minimal (default classic)
   -o, --output <path>   where to write the JSON (default BENCH_sweep.json)
   --report <path>       also render the Tables I-III markdown report
-  --time                include wall-clock MIPS per cell (host-dependent;
-                        forfeits bit-identical output)
   --max <n>             per-cell instruction budget
   --deadline <secs>     per-cell watchdog (default 120)
   --retries <n>         retry a panicked cell up to n times, each one
@@ -220,7 +218,6 @@ options for `serve` / `connect`:
   --deadline <secs>     per-request wall-clock watchdog
   --bench-warm          run the cold-vs-warm artifact-store benchmark and
                         write BENCH_serve.json instead of serving
-  --time                bench-warm: include wall-clock speedups
   -o, --output <path>   bench-warm: where to write the JSON
   (connect takes the daemon address as its positional argument, reads one
    request frame per stdin line, prints one response line each, and exits
@@ -907,9 +904,9 @@ fn cmd_trace_replay(opts: &Opts) -> Result<u8, String> {
 /// `lis sweep`: the full-matrix evaluation — every standard buildset on
 /// every ISA (optionally both backends) over the kernel suite, run as
 /// isolated parallel jobs. Writes `BENCH_sweep.json` (bit-identical across
-/// runs and job counts unless `--time` adds wall-clock fields) and an
-/// optional Tables I–III markdown report. Exit 0 when every cell ran to a
-/// clean halt, 3 when any cell faulted or hit its deadline.
+/// runs and job counts) and an optional Tables I–III markdown report. Exit 0
+/// when every cell ran to a clean halt, 3 when any cell has a
+/// [problem](lis_bench::CellResult::problem).
 fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
     let backends = match opts.backends.as_deref() {
         None | Some("cached") => vec![Backend::Cached],
@@ -948,7 +945,6 @@ fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
         backends,
         timings,
         max_insts: opts.max,
-        measure_time: opts.time,
         retries: opts.retries,
         // CI's isolation smoke test injects a deliberate panic into one
         // named cell; see SweepConfig::panic_cell.
@@ -976,17 +972,8 @@ fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
             .map_err(|e| format!("{md_path}: {e}"))?;
     }
 
-    let bad: Vec<&lis_bench::CellResult> = report
-        .cells
-        .iter()
-        .filter(|c| {
-            c.deadline_expired
-                || c.fault.is_some()
-                || !c.halted
-                || c.exit_code != 0
-                || c.crashes > 0
-        })
-        .collect();
+    let bad: Vec<(&lis_bench::CellResult, String)> =
+        report.cells.iter().filter_map(|c| Some((c, c.problem()?))).collect();
     eprintln!(
         "sweep: {} cells ({} kernels x {} buildsets x {} ISAs x {} backend(s) x \
          {} preset(s)) on {} worker(s) in {:.2}s -> {json_path}{}",
@@ -1003,22 +990,13 @@ fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
             None => String::new(),
         }
     );
-    for c in &bad {
+    for (c, problem) in &bad {
         eprintln!(
-            "  FAIL {}/{}/{} ({}): {}",
+            "  FAIL {}/{}/{} ({}): {problem}",
             c.isa,
             c.buildset,
             c.kernel,
-            lis_harness::backend_name(c.backend),
-            match (&c.crash, &c.fault, c.deadline_expired) {
-                (Some(msg), _, _) if c.halted && c.exit_code == 0 => {
-                    format!("crashed {} time(s), recovered on retry [{msg}]", c.crashes)
-                }
-                (Some(msg), _, _) => format!("crashed {} time(s) [{msg}]", c.crashes),
-                (None, Some(f), _) => f.clone(),
-                (None, None, true) => "deadline expired".into(),
-                (None, None, false) => format!("exit code {}", c.exit_code),
-            }
+            lis_harness::backend_name(c.backend)
         );
     }
     Ok(if bad.is_empty() { 0 } else { 3 })
@@ -1233,7 +1211,6 @@ fn cmd_serve(opts: &Opts) -> Result<u8, String> {
     if opts.bench_warm {
         let cfg = lis_bench::warm::WarmConfig {
             max_insts: opts.max,
-            measure_time: opts.time,
             ..lis_bench::warm::WarmConfig::default()
         };
         let report = lis_bench::run_warm(&cfg)?;

@@ -88,9 +88,6 @@ pub struct Opts {
     pub backends: Option<String>,
     /// Markdown report output path for `sweep`.
     pub report: Option<String>,
-    /// Include wall-clock timing in sweep output (forfeits bit-identical
-    /// JSON).
-    pub time: bool,
     /// Diagnostic output format for `lint` (`text` | `json` | `sarif`).
     pub format: Option<String>,
     /// Treat lint warnings as errors (exit 5).
@@ -150,7 +147,6 @@ impl Default for Opts {
             kernels: Vec::new(),
             backends: None,
             report: None,
-            time: false,
             format: None,
             deny_warnings: false,
             list_passes: false,
@@ -273,7 +269,6 @@ impl Opts {
                 }
                 "--backends" => o.backends = Some(value("--backends")?),
                 "--report" => o.report = Some(value("--report")?),
-                "--time" => o.time = true,
                 "--format" => o.format = Some(value("--format")?),
                 "--deny-warnings" => o.deny_warnings = true,
                 "--list-passes" => o.list_passes = true,
@@ -448,14 +443,15 @@ mod tests {
             "both",
             "--report",
             "SWEEP.md",
-            "--time",
         ])
         .unwrap();
         assert_eq!(o.jobs, 4);
         assert_eq!(o.kernels, vec!["gcd".to_string(), "sieve".to_string()]);
         assert_eq!(o.backends.as_deref(), Some("both"));
         assert_eq!(o.report.as_deref(), Some("SWEEP.md"));
-        assert!(o.time);
+        // Wall-clock speed is measured by `perfbench/`, not by the sweep.
+        let err = parse(&["--time"]).expect_err("the sweep takes no timing flag");
+        assert_eq!(err, "unknown flag `--time`");
 
         // `--jobs 0` is a zero-sized pool: a usage error, like `--shards 0`,
         // not something to silently reinterpret.
@@ -464,7 +460,6 @@ mod tests {
         assert!(parse(&["--jobs", "many"]).is_err());
         assert!(parse(&["--kernels", ","]).is_err(), "an all-empty list is an error");
         assert_eq!(parse(&[]).unwrap().jobs, 0, "default 0 means auto, one per core");
-        assert!(!parse(&[]).unwrap().time);
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub struct Artifacts {
     /// Backend the caches were built by (seeding checks equality: cached
     /// blocks are useless to a compiled backend and vice versa).
     pub(crate) backend: Backend,
-    /// Block-length cap in force when the blocks were built.
-    pub(crate) max_block: usize,
     /// Predecoded blocks, sorted by entry PC.
     pub(crate) blocks: Vec<(u64, Box<[PredecInst]>)>,
     /// Single-instruction decode cache entries `(pc, (op, bits))`, sorted.
@@ -201,8 +199,6 @@ pub enum SeedError {
     BuildsetMismatch,
     /// The snapshot was built by a different backend.
     BackendMismatch,
-    /// The snapshot was built under a different block-length cap.
-    MaxBlockMismatch,
     /// The target simulator has (or had) fault injection armed; its caches
     /// follow chaos invalidation rules and must stay private.
     Tainted,
@@ -214,7 +210,6 @@ impl std::fmt::Display for SeedError {
             SeedError::IsaMismatch => "ISA mismatch",
             SeedError::BuildsetMismatch => "buildset mismatch",
             SeedError::BackendMismatch => "backend mismatch",
-            SeedError::MaxBlockMismatch => "max-block mismatch",
             SeedError::Tainted => "simulator is chaos-tainted",
         };
         f.write_str(what)
@@ -248,7 +243,6 @@ mod tests {
             isa: "alpha",
             buildset: "block-all",
             backend: Backend::Cached,
-            max_block: 64,
             blocks: vec![],
             insts: vec![],
             compiled: vec![],

@@ -316,17 +316,7 @@ fn exec_sweep_cell(kernels: &[String], backends: &str, timings: &[String], max: 
         Ok(r) => r,
         Err(e) => return Outcome::fail(2, e),
     };
-    let bad = report
-        .cells
-        .iter()
-        .filter(|c| {
-            c.deadline_expired
-                || c.fault.is_some()
-                || !c.halted
-                || c.exit_code != 0
-                || c.crashes > 0
-        })
-        .count();
+    let bad = report.cells.iter().filter(|c| c.problem().is_some()).count();
     let mut o = JsonObj::new();
     o.u64("cells", report.cells.len() as u64)
         .u64("bad_cells", bad as u64)

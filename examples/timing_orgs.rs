@@ -1,5 +1,6 @@
-//! Figure 1, live: run all five decoupled simulator organizations on the
-//! same program and compare their reports — including a timing-first run
+//! Figure 1, live: run the five decoupled simulator organizations, plus
+//! functional-first driving the out-of-order core, on the same program and
+//! compare their reports — including a timing-first run
 //! with injected timing-model bugs (caught by the checker) and a
 //! speculative functional-first run with a forced memory divergence
 //! (repaired by rollback).
@@ -9,8 +10,9 @@
 //! ```
 
 use lis_timing::{
-    run_functional_first, run_integrated, run_speculative_functional_first, run_timing_directed,
-    run_timing_first, CoreConfig, MemOverride,
+    run_functional_first, run_functional_first_ooo, run_integrated,
+    run_speculative_functional_first, run_timing_directed, run_timing_first, CoreConfig,
+    MemOverride, OooConfig,
 };
 use lis_workloads::{spec_of, suite_of};
 
@@ -29,6 +31,7 @@ fn main() {
     let reports = [
         run_integrated(spec, &image, &cfg).expect("runs"),
         run_functional_first(spec, &image, &cfg).expect("runs"),
+        run_functional_first_ooo(spec, &image, &cfg, &OooConfig::default()).expect("runs"),
         run_timing_directed(spec, &image, &cfg).expect("runs"),
         run_timing_first(spec, &image, &cfg, None).expect("runs"),
         run_speculative_functional_first(spec, &image, &cfg, &[]).expect("runs"),
