@@ -1572,11 +1572,16 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     /// Drives the simulator until the program exits, a fault occurs, or
-    /// `max_insts` instructions have executed. The driving loop uses the
-    /// buildset's own semantic level. Nobody observes the records, so the
-    /// compiled backend builds none (it charges the detail counters a record
-    /// would have); the cached and interpreted backends still publish each
-    /// block into an engine-owned scratch buffer.
+    /// the instruction budget runs out. The driving loop uses the
+    /// buildset's own semantic level and checks the budget once per
+    /// interface call, before the call: a `One` or `Step` run stops at
+    /// exactly `max_insts`, but a `Block` call finishes its block, so a
+    /// block-semantic run stops at the first block boundary at or past
+    /// `max_insts`. Callers that slice a run into budgets rely on blocks
+    /// staying whole. Nobody observes the records, so the compiled backend
+    /// builds none (it charges the detail counters a record would have);
+    /// the cached and interpreted backends still publish each block into an
+    /// engine-owned scratch buffer.
     ///
     /// # Errors
     ///

@@ -347,6 +347,18 @@ fn max_insts_budget_enforced() {
     let err = sim.run_to_halt(100).unwrap_err();
     assert!(matches!(err, lis_runtime::SimStop::MaxInsts));
     assert_eq!(sim.stats.insts, 100);
+    // The budget is checked once per interface call, so a block call
+    // finishes its block: a three-instruction loop stops at the first block
+    // boundary at or past the budget (102), on every backend.
+    let spin = image(&[toy::addi(3, 3, 1), toy::addi(4, 4, 1), toy::jmp(-3)]);
+    for backend in [Backend::Cached, Backend::Interpreted, Backend::Compiled] {
+        let mut sim = Simulator::new(toy::spec(), BLOCK_MIN).unwrap();
+        sim.set_backend(backend);
+        sim.load_program(&spin).unwrap();
+        let err = sim.run_to_halt(100).unwrap_err();
+        assert!(matches!(err, lis_runtime::SimStop::MaxInsts), "{backend:?}");
+        assert_eq!(sim.stats.insts, 102, "{backend:?}");
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! A set-associative cache model with pluggable replacement and prefetch.
+//! A set-associative cache model with config-selected replacement and
+//! prefetch.
 
-use crate::components::{PrefetchKind, Prefetcher, ReplacementKind, ReplacementPolicy};
+use crate::components::{PrefetchKind, ReplacementKind};
 
 /// Static configuration of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,41 +25,39 @@ impl CacheConfig {
         CacheConfig { size: 16 * 1024, ways: 4, line: 32, miss_penalty: 12 };
 }
 
-/// A set-associative cache with a pluggable [`ReplacementPolicy`] and
-/// [`Prefetcher`] (see [`Cache::with_components`]; [`Cache::new`] selects
-/// LRU with no prefetching, the seed behavior). Tracks hits and misses;
-/// timing simulators convert misses into stall cycles.
-#[derive(Debug)]
+/// A set-associative cache whose replacement policy and prefetcher are
+/// selected by a [`ReplacementKind`] and a [`PrefetchKind`] (see
+/// [`Cache::with_components`]; [`Cache::new`] selects LRU with no
+/// prefetching, the seed behavior). Tracks hits and misses; timing
+/// simulators convert misses into stall cycles.
+#[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: usize,
     line_shift: u32,
     /// `tags[set * ways + way]`; `u64::MAX` = invalid.
     tags: Vec<u64>,
-    policy: Box<dyn ReplacementPolicy>,
-    prefetcher: Box<dyn Prefetcher>,
+    replacement: ReplacementKind,
+    prefetch: PrefetchKind,
+    /// Age stamp per line, parallel to `tags`: every fill takes the next
+    /// `tick`, and under LRU so does every hit. LRU and FIFO evict the way
+    /// with the oldest stamp.
+    stamps: Vec<u64>,
+    tick: u64,
+    /// Fixed-seed xorshift64 state for random replacement, so two caches
+    /// built the same way evict identically.
+    rng: u64,
+    /// Stride prefetcher: the previous demand line, the delta that led to
+    /// it, and whether a previous line exists yet.
+    last_line: u64,
+    last_delta: u64,
+    primed: bool,
     /// Hit count.
     pub hits: u64,
     /// Miss count.
     pub misses: u64,
     /// Lines installed by the prefetcher (not counted as hits or misses).
     pub prefetches: u64,
-}
-
-impl Clone for Cache {
-    fn clone(&self) -> Cache {
-        Cache {
-            cfg: self.cfg,
-            sets: self.sets,
-            line_shift: self.line_shift,
-            tags: self.tags.clone(),
-            policy: self.policy.clone_box(),
-            prefetcher: self.prefetcher.clone_box(),
-            hits: self.hits,
-            misses: self.misses,
-            prefetches: self.prefetches,
-        }
-    }
 }
 
 impl Cache {
@@ -91,8 +90,14 @@ impl Cache {
             sets,
             line_shift: cfg.line.trailing_zeros(),
             tags: vec![u64::MAX; lines],
-            policy: replacement.build(sets, cfg.ways),
-            prefetcher: prefetch.build(),
+            replacement,
+            prefetch,
+            stamps: vec![0; lines],
+            tick: 0,
+            rng: 0x9E37_79B9_7F4A_7C15,
+            last_line: 0,
+            last_delta: 0,
+            primed: false,
             hits: 0,
             misses: 0,
             prefetches: 0,
@@ -104,31 +109,71 @@ impl Cache {
         self.cfg
     }
 
+    #[inline]
+    fn stamp(&mut self, slot: usize) {
+        self.tick += 1;
+        self.stamps[slot] = self.tick;
+    }
+
+    /// Chooses the way to evict from the full set whose first slot is
+    /// `base`.
+    fn victim(&mut self, base: usize) -> usize {
+        match self.replacement {
+            ReplacementKind::Lru | ReplacementKind::Fifo => {
+                (0..self.cfg.ways).min_by_key(|&w| self.stamps[base + w]).expect("ways > 0")
+            }
+            ReplacementKind::Random => {
+                let mut x = self.rng;
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                self.rng = x;
+                (x % self.cfg.ways as u64) as usize
+            }
+        }
+    }
+
+    /// Observes a demand access to `line`; returns a line to prefetch.
+    fn prefetch_after(&mut self, line: u64, hit: bool) -> Option<u64> {
+        match self.prefetch {
+            PrefetchKind::None => None,
+            PrefetchKind::NextLine => (!hit).then(|| line.wrapping_add(1)),
+            PrefetchKind::Stride => {
+                let delta = line.wrapping_sub(self.last_line);
+                let matched = self.primed && delta != 0 && delta == self.last_delta;
+                self.last_delta = delta;
+                self.last_line = line;
+                self.primed = true;
+                matched.then(|| line.wrapping_add(delta))
+            }
+        }
+    }
+
     /// Installs `line` into its set: an invalid way if one exists, else the
-    /// policy's victim. Returns the way filled.
-    fn install(&mut self, line: u64) -> usize {
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.cfg.ways;
+    /// replacement policy's victim.
+    fn install(&mut self, line: u64) {
+        let base = ((line as usize) & (self.sets - 1)) * self.cfg.ways;
         let ways = &self.tags[base..base + self.cfg.ways];
         let way = match ways.iter().position(|&t| t == u64::MAX) {
             Some(w) => w,
-            None => self.policy.victim(set),
+            None => self.victim(base),
         };
         self.tags[base + way] = line;
-        self.policy.on_fill(set, way);
-        way
+        self.stamp(base + way);
     }
 
     /// Performs one demand access; returns the added latency (0 on hit,
     /// `miss_penalty` on miss, after filling the line and running the
-    /// prefetch hook).
+    /// prefetcher). Prefetch fills go through replacement but never touch
+    /// the hit/miss counters — only [`Cache::prefetches`].
     pub fn access(&mut self, addr: u64) -> u64 {
         let line = addr >> self.line_shift;
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.cfg.ways;
+        let base = ((line as usize) & (self.sets - 1)) * self.cfg.ways;
         let hit = self.tags[base..base + self.cfg.ways].iter().position(|&t| t == line);
         let penalty = if let Some(w) = hit {
-            self.policy.on_hit(set, w);
+            if self.replacement == ReplacementKind::Lru {
+                self.stamp(base + w);
+            }
             self.hits += 1;
             0
         } else {
@@ -136,9 +181,8 @@ impl Cache {
             self.install(line);
             self.cfg.miss_penalty
         };
-        if let Some(p) = self.prefetcher.observe(line, hit.is_some()) {
-            let pset = (p as usize) & (self.sets - 1);
-            let pbase = pset * self.cfg.ways;
+        if let Some(p) = self.prefetch_after(line, hit.is_some()) {
+            let pbase = ((p as usize) & (self.sets - 1)) * self.cfg.ways;
             if !self.tags[pbase..pbase + self.cfg.ways].contains(&p) {
                 self.install(p);
                 self.prefetches += 1;
@@ -222,6 +266,57 @@ mod tests {
         c.access(0x1080); // stride confirmed; prefetches 0x10c0's line
         assert_eq!(c.access(0x10c0), 0, "strided line was prefetched");
         assert_eq!(c.misses, 3);
+    }
+
+    #[test]
+    fn random_replacement_is_deterministic() {
+        // One set of four ways: after the set fills, every new line evicts
+        // the victim the seeded xorshift picks.
+        let cfg = CacheConfig { size: 64, ways: 4, line: 16, miss_penalty: 5 };
+        let victims = || {
+            let mut c = Cache::with_components(cfg, ReplacementKind::Random, PrefetchKind::None);
+            (0..36u64)
+                .filter_map(|line| {
+                    c.access(line << 4);
+                    (line >= 4).then(|| c.tags.iter().position(|&t| t == line).unwrap())
+                })
+                .collect::<Vec<usize>>()
+        };
+        let va = victims();
+        assert_eq!(va, victims());
+        assert!(va.windows(2).any(|w| w[0] != w[1]), "should vary");
+    }
+
+    #[test]
+    fn stride_prefetch_locks_onto_strides() {
+        // Lines 10, 14, 18, 22, 26, 5, 9 fall in distinct L1D sets, so nothing
+        // is evicted and each prefetch shows up as one more resident line.
+        let mut c =
+            Cache::with_components(CacheConfig::L1D, ReplacementKind::Lru, PrefetchKind::Stride);
+        let at = |line: u64| line << 5;
+        c.access(at(10));
+        assert_eq!(c.prefetches, 0, "first access: no history");
+        c.access(at(14));
+        assert_eq!(c.prefetches, 0, "first delta: not yet repeated");
+        c.access(at(18));
+        assert_eq!(c.prefetches, 1, "stride 4 confirmed");
+        assert_eq!(c.access(at(22)), 0, "line 22 was prefetched");
+        assert_eq!(c.prefetches, 2, "hits keep the stream going");
+        c.access(at(5));
+        assert_eq!(c.prefetches, 2, "stride break resets");
+        assert_eq!(c.access(at(9)), CacheConfig::L1D.miss_penalty, "one stride after a break");
+        assert_eq!(c.prefetches, 2);
+    }
+
+    #[test]
+    fn next_line_only_fires_on_miss() {
+        let mut c =
+            Cache::with_components(CacheConfig::L1D, ReplacementKind::Lru, PrefetchKind::NextLine);
+        c.access(7 << 5); // miss: prefetches line 8
+        assert_eq!(c.prefetches, 1);
+        assert_eq!(c.access(8 << 5), 0, "prefetched line hits");
+        assert_eq!(c.prefetches, 1, "a hit does not prefetch line 9");
+        assert_eq!(c.access(9 << 5), CacheConfig::L1D.miss_penalty);
     }
 
     #[test]

@@ -1,407 +1,19 @@
-//! Pluggable timing components behind ChampSim-style seams.
+//! Closed, config-selected timing components.
 //!
 //! The paper's premise is that the timing side is the part you *vary* while
-//! the single functional specification stays fixed. This module provides the
-//! variation points: a [`BranchPredictor`] seam, a [`ReplacementPolicy`] seam
-//! consulted by [`Cache`](crate::Cache), and a [`Prefetcher`] hook — each a
-//! tiny object-safe trait with two or three shipped implementations, selected
-//! by a [`TimingConfig`] that flows from the CLI and the serve protocol into
-//! every core model.
+//! the single functional specification stays fixed. Three components vary:
+//! branch prediction, cache replacement, and prefetching. Each is a closed
+//! set of named variants — a [`PredictorKind`], a [`ReplacementKind`], a
+//! [`PrefetchKind`] — that a [`TimingConfig`] selects and that flows from the
+//! CLI and the serve protocol into every core model. The state of each
+//! variant lives in the struct that uses it ([`Predictor`](crate::Predictor),
+//! [`Cache`](crate::Cache)), which matches on the kind in place.
 //!
-//! All implementations are deterministic (the "random" replacement policy is
-//! a fixed-seed xorshift), so sweeps and trace replays remain byte-identical
+//! Every variant is deterministic (the "random" replacement policy is a
+//! fixed-seed xorshift), so sweeps and trace replays remain byte-identical
 //! across job counts and machines.
 
-use crate::predict::Predictor;
-
-// -------------------------------------------------------------------------
-// Branch prediction
-// -------------------------------------------------------------------------
-
-/// The branch-prediction seam: direction plus (when taken) target.
-///
-/// Implementations keep their own correct/mispredict counters so a core can
-/// report rates over a measured region by snapshotting both.
-pub trait BranchPredictor: std::fmt::Debug + Send {
-    /// Predicts the branch at `pc`: `(taken, predicted_target)`.
-    fn predict(&self, pc: u64) -> (bool, Option<u64>);
-    /// Updates with the architectural outcome; returns whether the earlier
-    /// prediction was fully correct (direction and, when taken, target).
-    fn update(&mut self, pc: u64, taken: bool, target: u64) -> bool;
-    /// Correct predictions so far.
-    fn correct(&self) -> u64;
-    /// Mispredictions so far.
-    fn mispredicts(&self) -> u64;
-    /// Misprediction rate over everything seen so far.
-    fn mispredict_rate(&self) -> f64 {
-        let total = self.correct() + self.mispredicts();
-        if total == 0 {
-            0.0
-        } else {
-            self.mispredicts() as f64 / total as f64
-        }
-    }
-    /// Clones the predictor behind the trait object.
-    fn clone_box(&self) -> Box<dyn BranchPredictor>;
-}
-
-impl Clone for Box<dyn BranchPredictor> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-impl BranchPredictor for Predictor {
-    fn predict(&self, pc: u64) -> (bool, Option<u64>) {
-        Predictor::predict(self, pc)
-    }
-    fn update(&mut self, pc: u64, taken: bool, target: u64) -> bool {
-        Predictor::update(self, pc, taken, target)
-    }
-    fn correct(&self) -> u64 {
-        self.correct
-    }
-    fn mispredicts(&self) -> u64 {
-        self.mispredicts
-    }
-    fn clone_box(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.clone())
-    }
-}
-
-/// A gshare predictor: two-bit counters indexed by the PC XOR a global
-/// history register, with the same direct-mapped BTB as the bimodal
-/// predictor. Correlated branches that alias in a bimodal table separate
-/// under distinct history contexts.
-#[derive(Debug, Clone)]
-pub struct Gshare {
-    counters: Vec<u8>,
-    btb_tags: Vec<u64>,
-    btb_targets: Vec<u64>,
-    mask: usize,
-    history: u64,
-    correct: u64,
-    mispredicts: u64,
-}
-
-impl Gshare {
-    /// Builds a gshare predictor with `entries` counters/BTB slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is not a power of two.
-    pub fn new(entries: usize) -> Gshare {
-        assert!(entries.is_power_of_two(), "entries must be a power of two");
-        Gshare {
-            counters: vec![1; entries], // weakly not-taken
-            btb_tags: vec![u64::MAX; entries],
-            btb_targets: vec![0; entries],
-            mask: entries - 1,
-            history: 0,
-            correct: 0,
-            mispredicts: 0,
-        }
-    }
-
-    #[inline]
-    fn dir_index(&self, pc: u64) -> usize {
-        (((pc >> 2) ^ self.history) as usize) & self.mask
-    }
-
-    #[inline]
-    fn btb_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) & self.mask
-    }
-}
-
-impl BranchPredictor for Gshare {
-    fn predict(&self, pc: u64) -> (bool, Option<u64>) {
-        let taken = self.counters[self.dir_index(pc)] >= 2;
-        let b = self.btb_index(pc);
-        let target = (self.btb_tags[b] == pc).then(|| self.btb_targets[b]);
-        (taken, target)
-    }
-
-    fn update(&mut self, pc: u64, taken: bool, target: u64) -> bool {
-        let (pred_taken, pred_target) = self.predict(pc);
-        let ok = pred_taken == taken && (!taken || pred_target == Some(target));
-        if ok {
-            self.correct += 1;
-        } else {
-            self.mispredicts += 1;
-        }
-        let i = self.dir_index(pc);
-        let c = &mut self.counters[i];
-        if taken {
-            *c = (*c + 1).min(3);
-            let b = self.btb_index(pc);
-            self.btb_tags[b] = pc;
-            self.btb_targets[b] = target;
-        } else {
-            *c = c.saturating_sub(1);
-        }
-        self.history = (self.history << 1) | u64::from(taken);
-        ok
-    }
-
-    fn correct(&self) -> u64 {
-        self.correct
-    }
-    fn mispredicts(&self) -> u64 {
-        self.mispredicts
-    }
-    fn clone_box(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.clone())
-    }
-}
-
-/// The degenerate static predictor: every branch is predicted not-taken.
-/// The pessimistic floor a real predictor must beat.
-#[derive(Debug, Clone, Default)]
-pub struct NotTaken {
-    correct: u64,
-    mispredicts: u64,
-}
-
-impl NotTaken {
-    /// Builds the static not-taken predictor.
-    pub fn new() -> NotTaken {
-        NotTaken::default()
-    }
-}
-
-impl BranchPredictor for NotTaken {
-    fn predict(&self, _pc: u64) -> (bool, Option<u64>) {
-        (false, None)
-    }
-
-    fn update(&mut self, _pc: u64, taken: bool, _target: u64) -> bool {
-        if taken {
-            self.mispredicts += 1;
-        } else {
-            self.correct += 1;
-        }
-        !taken
-    }
-
-    fn correct(&self) -> u64 {
-        self.correct
-    }
-    fn mispredicts(&self) -> u64 {
-        self.mispredicts
-    }
-    fn clone_box(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.clone())
-    }
-}
-
-// -------------------------------------------------------------------------
-// Cache replacement
-// -------------------------------------------------------------------------
-
-/// The replacement seam: the cache owns tags and fills invalid ways itself;
-/// the policy is told about hits and fills and is consulted for a victim
-/// only when a set is full.
-pub trait ReplacementPolicy: std::fmt::Debug + Send {
-    /// A demand access hit `way` of `set`.
-    fn on_hit(&mut self, set: usize, way: usize);
-    /// A line was installed into `way` of `set` (demand fill or prefetch).
-    fn on_fill(&mut self, set: usize, way: usize);
-    /// Chooses the way to evict from a full `set`.
-    fn victim(&mut self, set: usize) -> usize;
-    /// Clones the policy behind the trait object.
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy>;
-}
-
-impl Clone for Box<dyn ReplacementPolicy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// True-LRU replacement: every hit and fill refreshes a recency stamp; the
-/// victim is the least recently stamped way.
-#[derive(Debug, Clone)]
-pub struct LruPolicy {
-    stamps: Vec<u64>,
-    ways: usize,
-    tick: u64,
-}
-
-impl LruPolicy {
-    /// Builds an LRU policy for `sets` × `ways` lines.
-    pub fn new(sets: usize, ways: usize) -> LruPolicy {
-        LruPolicy { stamps: vec![0; sets * ways], ways, tick: 0 }
-    }
-
-    #[inline]
-    fn touch(&mut self, set: usize, way: usize) {
-        self.tick += 1;
-        self.stamps[set * self.ways + way] = self.tick;
-    }
-}
-
-impl ReplacementPolicy for LruPolicy {
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.touch(set, way);
-    }
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.touch(set, way);
-    }
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        (0..self.ways).min_by_key(|&w| self.stamps[base + w]).expect("ways > 0")
-    }
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// FIFO replacement: stamps advance only on fills, so the victim is the way
-/// that has been resident longest regardless of hits.
-#[derive(Debug, Clone)]
-pub struct FifoPolicy {
-    stamps: Vec<u64>,
-    ways: usize,
-    tick: u64,
-}
-
-impl FifoPolicy {
-    /// Builds a FIFO policy for `sets` × `ways` lines.
-    pub fn new(sets: usize, ways: usize) -> FifoPolicy {
-        FifoPolicy { stamps: vec![0; sets * ways], ways, tick: 0 }
-    }
-}
-
-impl ReplacementPolicy for FifoPolicy {
-    fn on_hit(&mut self, _set: usize, _way: usize) {}
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.tick += 1;
-        self.stamps[set * self.ways + way] = self.tick;
-    }
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        (0..self.ways).min_by_key(|&w| self.stamps[base + w]).expect("ways > 0")
-    }
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Seeded pseudo-random replacement: a fixed-seed xorshift64 picks the
-/// victim, so two caches built the same way evict identically — determinism
-/// is part of the contract, "random" refers only to the eviction pattern.
-#[derive(Debug, Clone)]
-pub struct RandomPolicy {
-    state: u64,
-    ways: usize,
-}
-
-impl RandomPolicy {
-    /// Builds a random policy for sets of `ways` lines.
-    pub fn new(ways: usize) -> RandomPolicy {
-        RandomPolicy { state: 0x9E37_79B9_7F4A_7C15, ways }
-    }
-
-    #[inline]
-    fn next(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
-    }
-}
-
-impl ReplacementPolicy for RandomPolicy {
-    fn on_hit(&mut self, _set: usize, _way: usize) {}
-    fn on_fill(&mut self, _set: usize, _way: usize) {}
-    fn victim(&mut self, _set: usize) -> usize {
-        (self.next() % self.ways as u64) as usize
-    }
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-// -------------------------------------------------------------------------
-// Prefetching
-// -------------------------------------------------------------------------
-
-/// The prefetch hook: observes every demand access (in line-number space)
-/// and may name one line to install. Prefetch fills go through the
-/// replacement policy but never touch the hit/miss counters — only the
-/// [`Cache::prefetches`](crate::Cache::prefetches) count.
-pub trait Prefetcher: std::fmt::Debug + Send {
-    /// Observes a demand access to `line`; returns a line to prefetch.
-    fn observe(&mut self, line: u64, hit: bool) -> Option<u64>;
-    /// Clones the prefetcher behind the trait object.
-    fn clone_box(&self) -> Box<dyn Prefetcher>;
-}
-
-impl Clone for Box<dyn Prefetcher> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// No prefetching — the classic configuration.
-#[derive(Debug, Clone, Default)]
-pub struct NonePrefetcher;
-
-impl Prefetcher for NonePrefetcher {
-    fn observe(&mut self, _line: u64, _hit: bool) -> Option<u64> {
-        None
-    }
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
-}
-
-/// Next-line prefetching: every demand miss pulls in the sequentially next
-/// line. Wins on streaming code and instruction fetch.
-#[derive(Debug, Clone, Default)]
-pub struct NextLinePrefetcher;
-
-impl Prefetcher for NextLinePrefetcher {
-    fn observe(&mut self, line: u64, hit: bool) -> Option<u64> {
-        (!hit).then(|| line.wrapping_add(1))
-    }
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
-}
-
-/// Global-stride prefetching: tracks the delta between successive demand
-/// lines and, when the same non-zero delta repeats, prefetches one stride
-/// ahead. Catches strided array walks next-line misses on.
-#[derive(Debug, Clone, Default)]
-pub struct StridePrefetcher {
-    last_line: u64,
-    last_delta: u64,
-    primed: bool,
-}
-
-impl Prefetcher for StridePrefetcher {
-    fn observe(&mut self, line: u64, _hit: bool) -> Option<u64> {
-        let delta = line.wrapping_sub(self.last_line);
-        let matched = self.primed && delta != 0 && delta == self.last_delta;
-        self.last_delta = delta;
-        self.last_line = line;
-        self.primed = true;
-        matched.then(|| line.wrapping_add(delta))
-    }
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
-}
-
-// -------------------------------------------------------------------------
-// Selection
-// -------------------------------------------------------------------------
-
-/// Which [`BranchPredictor`] implementation a core uses.
+/// Which branch predictor a core uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
     /// Two-bit bimodal counters with a direct-mapped BTB (the seed model).
@@ -413,15 +25,6 @@ pub enum PredictorKind {
 }
 
 impl PredictorKind {
-    /// Builds the selected predictor with `entries` table slots.
-    pub fn build(self, entries: usize) -> Box<dyn BranchPredictor> {
-        match self {
-            PredictorKind::Bimodal => Box::new(Predictor::new(entries)),
-            PredictorKind::Gshare => Box::new(Gshare::new(entries)),
-            PredictorKind::NotTaken => Box::new(NotTaken::new()),
-        }
-    }
-
     /// The kind's name as it appears in presets and JSON.
     pub fn name(self) -> &'static str {
         match self {
@@ -432,7 +35,7 @@ impl PredictorKind {
     }
 }
 
-/// Which [`ReplacementPolicy`] implementation a cache uses.
+/// Which replacement policy a cache uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplacementKind {
     /// True LRU (the seed model).
@@ -444,15 +47,6 @@ pub enum ReplacementKind {
 }
 
 impl ReplacementKind {
-    /// Builds the selected policy for a `sets` × `ways` cache.
-    pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
-        match self {
-            ReplacementKind::Lru => Box::new(LruPolicy::new(sets, ways)),
-            ReplacementKind::Fifo => Box::new(FifoPolicy::new(sets, ways)),
-            ReplacementKind::Random => Box::new(RandomPolicy::new(ways)),
-        }
-    }
-
     /// The kind's name as it appears in presets and JSON.
     pub fn name(self) -> &'static str {
         match self {
@@ -463,7 +57,7 @@ impl ReplacementKind {
     }
 }
 
-/// Which [`Prefetcher`] implementation a cache uses.
+/// Which prefetcher a cache uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchKind {
     /// No prefetching (the seed model).
@@ -475,15 +69,6 @@ pub enum PrefetchKind {
 }
 
 impl PrefetchKind {
-    /// Builds the selected prefetcher.
-    pub fn build(self) -> Box<dyn Prefetcher> {
-        match self {
-            PrefetchKind::None => Box::new(NonePrefetcher),
-            PrefetchKind::NextLine => Box::new(NextLinePrefetcher),
-            PrefetchKind::Stride => Box::new(StridePrefetcher::default()),
-        }
-    }
-
     /// The kind's name as it appears in presets and JSON.
     pub fn name(self) -> &'static str {
         match self {
@@ -510,7 +95,8 @@ pub struct TimingConfig {
 
 impl TimingConfig {
     /// The seed components: bimodal predictor, LRU replacement, no
-    /// prefetching. Byte-identical behavior to the pre-seam models.
+    /// prefetching. Byte-identical behavior to the models before components
+    /// were selectable.
     pub const CLASSIC: TimingConfig = TimingConfig {
         name: "classic",
         predictor: PredictorKind::Bimodal,
@@ -569,8 +155,8 @@ mod tests {
 
     #[test]
     fn preset_catalog_is_complete_and_unique() {
-        // The catalog must cross all three dimensions: every implementation
-        // of every component appears in at least one preset.
+        // The catalog must cross all three dimensions: every variant of
+        // every component appears in at least one preset.
         assert!(TimingConfig::PRESETS.len() >= 3);
         for kind in [PredictorKind::Bimodal, PredictorKind::Gshare, PredictorKind::NotTaken] {
             assert!(TimingConfig::PRESETS.iter().any(|p| p.predictor == kind), "{kind:?}");
@@ -587,77 +173,5 @@ mod tests {
         assert_eq!(TimingConfig::named("classic"), Some(TimingConfig::CLASSIC));
         assert_eq!(TimingConfig::named("no-such"), None);
         assert_eq!(TimingConfig::default(), TimingConfig::CLASSIC);
-    }
-
-    #[test]
-    fn gshare_separates_correlated_branches() {
-        // Two branches whose low PC bits alias but whose outcomes depend on
-        // history: gshare learns both; bimodal thrashes one counter.
-        let mut g = Gshare::new(16);
-        let mut b = Predictor::new(16);
-        // Alternating taken/not-taken at one pc: bimodal oscillates around
-        // the weakly-not-taken boundary, gshare keys off the history bit.
-        for i in 0..64u64 {
-            let taken = i % 2 == 0;
-            g.update(0x1000, taken, 0x2000);
-            BranchPredictor::update(&mut b, 0x1000, taken, 0x2000);
-        }
-        assert!(
-            g.mispredicts() < b.mispredicts,
-            "gshare {} vs bimodal {}",
-            g.mispredicts(),
-            b.mispredicts
-        );
-    }
-
-    #[test]
-    fn not_taken_counts_outcomes() {
-        let mut p = NotTaken::new();
-        assert!(p.update(0x10, false, 0));
-        assert!(!p.update(0x10, true, 0x20));
-        assert_eq!((p.correct(), p.mispredicts()), (1, 1));
-        assert_eq!(p.predict(0x10), (false, None));
-    }
-
-    #[test]
-    fn random_policy_is_deterministic() {
-        let mut a = RandomPolicy::new(4);
-        let mut b = RandomPolicy::new(4);
-        let va: Vec<usize> = (0..32).map(|_| a.victim(0)).collect();
-        let vb: Vec<usize> = (0..32).map(|_| b.victim(0)).collect();
-        assert_eq!(va, vb);
-        assert!(va.iter().all(|&w| w < 4));
-        assert!(va.windows(2).any(|w| w[0] != w[1]), "should vary");
-    }
-
-    #[test]
-    fn fifo_ignores_hits() {
-        let mut f = FifoPolicy::new(1, 2);
-        f.on_fill(0, 0);
-        f.on_fill(0, 1);
-        f.on_hit(0, 0); // does not refresh
-        assert_eq!(f.victim(0), 0, "way 0 is still the oldest fill");
-        let mut l = LruPolicy::new(1, 2);
-        l.on_fill(0, 0);
-        l.on_fill(0, 1);
-        l.on_hit(0, 0); // refreshes
-        assert_eq!(l.victim(0), 1, "way 1 is now least recent");
-    }
-
-    #[test]
-    fn stride_prefetcher_locks_onto_strides() {
-        let mut s = StridePrefetcher::default();
-        assert_eq!(s.observe(10, false), None, "first access: no history");
-        assert_eq!(s.observe(14, false), None, "first delta: not yet repeated");
-        assert_eq!(s.observe(18, false), Some(22), "stride 4 confirmed");
-        assert_eq!(s.observe(22, true), Some(26), "hits keep the stream going");
-        assert_eq!(s.observe(5, false), None, "stride break resets");
-    }
-
-    #[test]
-    fn next_line_only_fires_on_miss() {
-        let mut n = NextLinePrefetcher;
-        assert_eq!(n.observe(7, false), Some(8));
-        assert_eq!(n.observe(7, true), None);
     }
 }

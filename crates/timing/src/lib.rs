@@ -19,24 +19,23 @@
 //! * [`run_functional_first_ooo`] — a SimpleScalar/Zesto-style out-of-order
 //!   consumer of the same functional-first trace.
 //!
-//! The shared substrate — a set-associative [`Cache`], a pluggable
-//! [`BranchPredictor`], and the in-order [`CoreModel`] — keeps cycle
-//! accounting identical across organizations so their reports are
-//! comparable.
+//! The shared substrate — a set-associative [`Cache`], a branch
+//! [`Predictor`], and the in-order [`CoreModel`] — keeps cycle accounting
+//! identical across organizations so their reports are comparable.
 //!
-//! The microarchitectural components themselves sit behind ChampSim-style
-//! seams (see [`components`]): branch prediction, cache replacement, and
-//! prefetching are each an object-safe trait with several shipped
-//! implementations, selected by a named [`TimingConfig`] preset. The
-//! functional specification never changes across presets — only the timing
-//! side varies, which is the paper's single-specification principle at
-//! work.
+//! The microarchitectural components are closed sets of named variants,
+//! ChampSim-style: branch prediction ([`PredictorKind`]), cache replacement
+//! ([`ReplacementKind`]) and prefetching ([`PrefetchKind`]), selected
+//! together by a named [`TimingConfig`] preset. [`Predictor`] and [`Cache`]
+//! hold each variant's state and match on the kind in place. The functional
+//! specification never changes across presets — only the timing side
+//! varies, which is the paper's single-specification principle at work.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod cache;
-pub mod components;
+mod components;
 mod model;
 mod ooo;
 mod orgs;
@@ -45,11 +44,7 @@ mod report;
 mod scoreboard;
 
 pub use cache::{Cache, CacheConfig};
-pub use components::{
-    BranchPredictor, FifoPolicy, Gshare, LruPolicy, NextLinePrefetcher, NonePrefetcher, NotTaken,
-    PredictorKind, PrefetchKind, Prefetcher, RandomPolicy, ReplacementKind, ReplacementPolicy,
-    StridePrefetcher, TimingConfig,
-};
+pub use components::{PredictorKind, PrefetchKind, ReplacementKind, TimingConfig};
 pub use model::CoreModel;
 pub use ooo::{run_functional_first_ooo, OooConfig, OooCore};
 pub use orgs::{

@@ -7,7 +7,7 @@
 //! recovery mechanics.
 
 use crate::cache::Cache;
-use crate::components::BranchPredictor;
+use crate::predict::Predictor;
 use crate::report::{CoreConfig, TimingReport};
 use lis_core::{DynInst, InstClass, IsaSpec, F_BR_TAKEN, F_BR_TARGET, F_EFF_ADDR, F_OPCODE};
 
@@ -19,7 +19,7 @@ pub struct CoreModel {
     /// Data cache.
     pub dcache: Cache,
     /// Branch predictor.
-    pub pred: Box<dyn BranchPredictor>,
+    pub pred: Predictor,
     /// Accumulated cycles.
     pub cycles: u64,
     mispredict_penalty: u64,
@@ -27,13 +27,13 @@ pub struct CoreModel {
 
 impl CoreModel {
     /// Builds the model from a configuration; `cfg.timing` selects the
-    /// predictor, replacement policy, and prefetcher implementations.
+    /// predictor, replacement policy, and prefetcher.
     pub fn new(cfg: &CoreConfig) -> CoreModel {
         let t = cfg.timing;
         CoreModel {
             icache: Cache::with_components(cfg.icache, t.replacement, t.prefetcher),
             dcache: Cache::with_components(cfg.dcache, t.replacement, t.prefetcher),
-            pred: t.predictor.build(cfg.predictor_entries),
+            pred: Predictor::new(t.predictor, cfg.predictor_entries),
             cycles: 0,
             mispredict_penalty: cfg.mispredict_penalty,
         }
@@ -69,6 +69,6 @@ impl CoreModel {
         report.cycles = self.cycles;
         report.icache_misses = self.icache.misses;
         report.dcache_misses = self.dcache.misses;
-        report.mispredicts = self.pred.mispredicts();
+        report.mispredicts = self.pred.mispredicts;
     }
 }

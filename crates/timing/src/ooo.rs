@@ -22,7 +22,7 @@
 //! record-once/replay-anywhere verifiable.
 
 use crate::cache::Cache;
-use crate::components::BranchPredictor;
+use crate::predict::Predictor;
 use crate::report::{CoreConfig, TimingReport};
 use crate::scoreboard::Scoreboard;
 use lis_core::{
@@ -100,7 +100,7 @@ pub struct OooCore {
     mispredict_penalty: u64,
     icache: Cache,
     dcache: Cache,
-    pred: Box<dyn BranchPredictor>,
+    pred: Predictor,
     /// Cycle at which each architectural register's value becomes available.
     reg_ready: Scoreboard,
     /// Completion cycles of the last `rob` instructions, oldest first.
@@ -126,8 +126,8 @@ impl OooCore {
     /// their minimum legal values (a 1-wide front end, a 1-entry ROB) so a
     /// hostile or fuzzed configuration can model a tiny machine but never a
     /// crashing one. `cfg.timing` selects the predictor, replacement
-    /// policy, and prefetcher implementations. Each opcode's class and
-    /// latency are looked up here, once, not per fed instruction.
+    /// policy, and prefetcher. Each opcode's class and latency are looked
+    /// up here, once, not per fed instruction.
     pub fn new(isa: &'static IsaSpec, cfg: &CoreConfig, ooo: &OooConfig) -> OooCore {
         let t = cfg.timing;
         OooCore {
@@ -136,7 +136,7 @@ impl OooCore {
             mispredict_penalty: cfg.mispredict_penalty,
             icache: Cache::with_components(cfg.icache, t.replacement, t.prefetcher),
             dcache: Cache::with_components(cfg.dcache, t.replacement, t.prefetcher),
-            pred: t.predictor.build(cfg.predictor_entries),
+            pred: Predictor::new(t.predictor, cfg.predictor_entries),
             reg_ready: Scoreboard::default(),
             window: VecDeque::new(),
             fetch_cycle: 0,
@@ -165,8 +165,8 @@ impl OooCore {
             icache_hits: self.icache.hits,
             dcache_misses: self.dcache.misses,
             dcache_hits: self.dcache.hits,
-            mispredicts: self.pred.mispredicts(),
-            correct: self.pred.correct(),
+            mispredicts: self.pred.mispredicts,
+            correct: self.pred.correct,
         };
     }
 
@@ -186,8 +186,8 @@ impl OooCore {
 
     /// Branch misprediction rate over the measured region only.
     pub fn mispredict_rate(&self) -> f64 {
-        let mis = self.pred.mispredicts() - self.base.mispredicts;
-        let ok = self.pred.correct() - self.base.correct;
+        let mis = self.pred.mispredicts - self.base.mispredicts;
+        let ok = self.pred.correct - self.base.correct;
         rate(mis, mis + ok)
     }
 
@@ -276,7 +276,7 @@ impl OooCore {
             insts: self.fed - self.base.insts,
             icache_misses: self.icache.misses - self.base.icache_misses,
             dcache_misses: self.dcache.misses - self.base.dcache_misses,
-            mispredicts: self.pred.mispredicts() - self.base.mispredicts,
+            mispredicts: self.pred.mispredicts - self.base.mispredicts,
             ..Default::default()
         }
     }

@@ -132,9 +132,11 @@ impl TimingReport {
 
 impl std::fmt::Display for TimingReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // 28 columns fit the longest organization name,
+        // `speculative-functional-first`, so every row's columns line up.
         write!(
             f,
-            "{:<22} {:>10} insts {:>12} cycles  IPC {:.3}  calls/inst {:>5.2}  miss(i/d) {}/{}  mispred {}",
+            "{:<28} {:>10} insts {:>12} cycles  IPC {:.3}  calls/inst {:>5.2}  miss(i/d) {}/{}  mispred {}",
             self.organization,
             self.insts,
             self.cycles,

@@ -111,7 +111,7 @@ proptest! {
     /// functional-first ooo run and a single-shard replay of one max-detail
     /// recording produce bit-identical reports. The recording itself is
     /// preset-independent — only the replay-side core config varies — which
-    /// is exactly the single-specification claim for the timing seams.
+    /// is exactly the single-specification claim for the timing components.
     #[test]
     fn replay_is_bit_identical_under_every_preset(
         preset_idx in 0usize..TimingConfig::PRESETS.len(),
